@@ -16,8 +16,11 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <map>
+#include <optional>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "src/exec/runtime.h"
@@ -179,15 +182,19 @@ Endpoint parse_endpoint(const std::string& spec) {
 
 namespace {
 
-/// Completion queue + self-pipe wakeup, shared (shared_ptr) between the
-/// poll loop and every scheduler job.  It is a separate allocation on
-/// purpose: a job can still be running when the socket front-end is torn
-/// down, and its completion must land somewhere valid — the last owner
-/// (possibly a scheduler worker) frees it.
+/// A loop's mailbox + self-pipe wakeup, shared (shared_ptr) between the
+/// loop, the listening loop and every scheduler job the loop submitted.
+/// Mail is of two kinds: completed responses from scheduler jobs, and
+/// accepted fds handed over by the listening loop.  It is a separate
+/// allocation on purpose: a job can still be running when the socket
+/// front-end is torn down, and its completion must land somewhere valid —
+/// the last owner (possibly a scheduler worker) frees it.
 struct DoneQueue {
   int wake_r = -1, wake_w = -1;
   sync::Mutex mu{"serve.done_queue"};
   std::deque<std::tuple<uint64_t, uint64_t, std::string>> q GUARDED_BY(mu);
+  std::vector<int> fds GUARDED_BY(mu);
+  bool closed GUARDED_BY(mu) = false;  // the loop exited: no more hand-offs
 
   DoneQueue() {
     int pipefd[2];
@@ -215,36 +222,73 @@ struct DoneQueue {
     }
     wake();
   }
+
+  /// Hand an accepted fd to the loop; false when the loop already exited,
+  /// in which case the caller still owns (and must close) the fd.
+  bool hand_over(int fd) {
+    {
+      sync::MutexLock lk(mu);
+      if (closed) return false;
+      fds.push_back(fd);
+    }
+    wake();
+    return true;
+  }
 };
 
 }  // namespace
 
 struct ServeSocket::Impl {
   using Clock = std::chrono::steady_clock;
+  struct Loop;
 
   ServerCore& core;
   Endpoint ep;
   SocketOptions sopts;
-  int listen_fd = -1;
-  std::shared_ptr<DoneQueue> dq = std::make_shared<DoneQueue>();
+  int listen_fd = -1;  // touched only by loop 0 once serving
   std::atomic<bool> stop{false};
-
-  // Drain state machine.  drain_req is the only cross-thread (and
-  // signal-context) entry point: one atomic store, observed by the loop at
-  // the top of each iteration.  Everything else is loop-thread-local.
+  // Drain request: the only cross-thread (and signal-context) entry point
+  // besides stop — one atomic store, observed by every loop at the top of
+  // its next iteration.
   std::atomic<bool> drain_req{false};
+  // Admitted connections across all loops, for the connection cap.
+  std::atomic<int64_t> live_conns{0};
+  // Fixed after construction (request_drain walks it in signal context).
+  std::vector<std::unique_ptr<Loop>> loops;
+  size_t next_loop = 0;  // round-robin cursor, loop 0 only
+
+  Impl(ServerCore& c, Endpoint e, SocketOptions so);
+  ~Impl();
+
+  void wake_all();
+  void serve();
+};
+
+/// One poll(2) loop.  Loop 0 also owns the listening socket and deals the
+/// accepted fds round-robin over all loops (itself included); after that a
+/// connection lives on its loop only.  Everything here is loop-local except
+/// the shared DoneQueue and the Impl atomics.
+struct ServeSocket::Impl::Loop {
+  Impl& sock;
+  ServerCore& core;
+  const SocketOptions& sopts;
+  const size_t index;
+  std::shared_ptr<DoneQueue> dq = std::make_shared<DoneQueue>();
+  NetChaos chaos;
+
   bool draining = false;
   Clock::time_point drain_deadline{};
   DrainStats dstats;
+  int64_t served_conns = 0;  // connections adopted over the loop's life
 
-  // EMFILE/ENFILE cooldown: accepting resumes after this instant instead of
-  // busy-looping on a level-triggered listen fd we cannot accept from.
+  // EMFILE/ENFILE cooldown (loop 0): accepting resumes after this instant
+  // instead of busy-looping on a level-triggered listen fd we cannot
+  // accept from.
   Clock::time_point accept_pause_until{};
-
-  NetChaos chaos;
 
   struct Conn {
     int fd = -1;
+    bool admitted = false;  // counted in Impl::live_conns
     FrameReader reader;
     std::string outbuf;
     size_t outoff = 0;       // written prefix of outbuf; compacted on drain
@@ -253,24 +297,31 @@ struct ServeSocket::Impl {
     std::map<uint64_t, std::string> ready;  // out-of-order completions
     uint64_t inflight = 0;
     bool closing = false;         // flush outbuf, then close
-    bool shutdown_after = false;  // stop the loop once flushed
+    bool shutdown_after = false;  // stop every loop once flushed
     // Chaos stall: the connection is not polled until this instant.
     Clock::time_point stalled_until{};
   };
   uint64_t next_conn_id = 1;
   std::map<uint64_t, std::shared_ptr<Conn>> conns;
 
-  Impl(ServerCore& c, Endpoint e, SocketOptions so)
-      : core(c),
-        ep(std::move(e)),
-        sopts(so),
-        chaos(so.chaos, so.chaos_seed) {}
+  Loop(Impl& s, size_t i)
+      : sock(s),
+        core(s.core),
+        sopts(s.sopts),
+        index(i),
+        // One chaos stream per loop; loop 0 keeps the configured seed.
+        chaos(s.sopts.chaos,
+              s.sopts.chaos_seed ^ (0x9e3779b97f4a7c15ULL * i)) {}
 
-  ~Impl() {
+  ~Loop() {
     for (auto& [id, conn] : conns)
       if (conn->fd >= 0) ::close(conn->fd);
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (ep.kind == Endpoint::Kind::Unix) ::unlink(ep.path.c_str());
+  }
+
+  /// Drop an admitted fd that never became a connection.
+  void release_fd(int fd) {
+    ::close(fd);
+    sock.live_conns.fetch_sub(1, std::memory_order_relaxed);
   }
 
   void enqueue_response(Conn& c, const std::string& payload) {
@@ -324,7 +375,10 @@ struct ServeSocket::Impl {
     // flight (queued or waiting for in-order drain) count as owed, so a
     // shutdown acked via the done queue is flushed before the fd closes.
     if (c.closing && c.inflight == 0) {
-      if (c.shutdown_after) stop.store(true);
+      if (c.shutdown_after) {
+        sock.stop.store(true);
+        sock.wake_all();
+      }
       close_conn(id);
     }
   }
@@ -332,8 +386,10 @@ struct ServeSocket::Impl {
   void close_conn(uint64_t id) {
     auto it = conns.find(id);
     if (it == conns.end()) return;
-    if (it->second->fd >= 0) ::close(it->second->fd);
-    it->second->fd = -1;
+    Conn& c = *it->second;
+    if (c.fd >= 0) ::close(c.fd);
+    c.fd = -1;
+    if (c.admitted) sock.live_conns.fetch_sub(1, std::memory_order_relaxed);
     conns.erase(it);
   }
 
@@ -353,11 +409,10 @@ struct ServeSocket::Impl {
       req = Json::parse(payload);
     } catch (const JsonParseError& e) {
       // Malformed JSON fails this one request; framing is still intact.
-      dq->push(id, seq,
-               error_response(code::kBadRequest,
-                              std::string("malformed request json: ") +
-                                  e.what())
-                   .str(-1));
+      answer_inline(*conn, seq,
+                    error_response(code::kBadRequest,
+                                   std::string("malformed request json: ") +
+                                       e.what()));
       return;
     }
     std::string op;
@@ -379,7 +434,7 @@ struct ServeSocket::Impl {
       return;
     }
     if (draining) {
-      // Fail-fast: no new work enters the scheduler once a drain began.
+      // Fail-fast: no new work starts once a drain began.
       Json resp = retriable_error(code::kDraining,
                                   "daemon is draining; retry elsewhere");
       echo_id(req, resp);
@@ -410,6 +465,17 @@ struct ServeSocket::Impl {
         dl && dl->is_number() && dl->as_double() > 0) {
       token = std::make_shared<CancelToken>(dl->as_double());
     }
+    // The hot path: a run whose entry is already cached executes right
+    // here, on this loop, and its answer goes straight into the in-order
+    // drain — no scheduler queue, no done queue, no self-pipe wakeup.
+    // Everything else (and a run the cache cannot answer) is scheduled.
+    if (op == "run") {
+      if (std::optional<Json> resp =
+              core.handle_cached_run(req, token.get())) {
+        answer_inline(*conn, seq, *resp);
+        return;
+      }
+    }
     const JobPriority pri = ServerCore::priority_for(op);
     // The request deadline bounds the queue wait for *every* priority; the
     // server-wide tune queue timeout still applies to Low jobs, and the
@@ -419,7 +485,7 @@ struct ServeSocket::Impl {
       const double tq = core.options().tune_queue_timeout_ms;
       if (tq > 0) timeout = timeout > 0 ? std::min(timeout, tq) : tq;
     }
-    // Jobs capture the shared queue and the core — never Impl, which a
+    // Jobs capture the shared queue and the core — never the loop, which a
     // still-running job may outlive.  The drop hook substitutes a timeout /
     // overloaded / cancelled response so the connection's in-order writer
     // never stalls on a job that was dropped from the queue.
@@ -504,9 +570,10 @@ struct ServeSocket::Impl {
     flush(id, *conn);
   }
 
+  /// Loop 0: accept everything pending and deal the connections out.
   void accept_ready() {
     for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      const int fd = ::accept(sock.listen_fd, nullptr, nullptr);
       if (fd < 0) {
         if (errno == EINTR) continue;
         if (errno == EMFILE || errno == ENFILE) {
@@ -525,17 +592,19 @@ struct ServeSocket::Impl {
         continue;
       }
       set_nonblocking(fd);
-      if (ep.kind == Endpoint::Kind::Tcp) {
+      if (sock.ep.kind == Endpoint::Kind::Tcp) {
         const int one = 1;
         setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       }
-      auto conn = std::make_shared<Conn>();
-      conn->fd = fd;
       if (sopts.max_conns > 0 &&
-          conns.size() >= static_cast<size_t>(sopts.max_conns)) {
-        // Over the connection cap: the peer gets one structured retriable
-        // "overloaded" frame, then the connection closes — through the
-        // ordinary outbuf/flush path so a slow reader still receives it.
+          sock.live_conns.load(std::memory_order_relaxed) >=
+              sopts.max_conns) {
+        // Over the connection cap (counted across every loop): the peer
+        // gets one structured retriable "overloaded" frame, then the
+        // connection closes — through the ordinary outbuf/flush path on
+        // this loop, so a slow reader still receives it.
+        auto conn = std::make_shared<Conn>();
+        conn->fd = fd;
         conn->outbuf = encode_frame(
             retriable_error(code::kOverloaded,
                             "connection limit (" +
@@ -549,16 +618,40 @@ struct ServeSocket::Impl {
         flush(id, *conn);
         continue;
       }
-      conns.emplace(next_conn_id++, std::move(conn));
+      sock.live_conns.fetch_add(1, std::memory_order_relaxed);
+      Loop& to = *sock.loops[sock.next_loop++ % sock.loops.size()];
+      if (&to == this) {
+        adopt(fd);
+      } else if (!to.dq->hand_over(fd)) {
+        release_fd(fd);  // that loop already finished
+      }
     }
   }
 
-  void drain_done() {
+  /// Take over an admitted fd.  A draining loop closes it instead: it owes
+  /// the peer nothing, exactly like a connection reaped at drain start.
+  void adopt(int fd) {
+    if (draining) {
+      release_fd(fd);
+      return;
+    }
+    auto conn = std::make_shared<Conn>();
+    conn->fd = fd;
+    conn->admitted = true;
+    conns.emplace(next_conn_id++, std::move(conn));
+    ++served_conns;
+  }
+
+  /// Collect the mail: scheduler completions and handed-over fds.
+  void drain_mail() {
     std::deque<std::tuple<uint64_t, uint64_t, std::string>> batch;
+    std::vector<int> fds;
     {
       sync::MutexLock lk(dq->mu);
       batch.swap(dq->q);
+      fds.swap(dq->fds);
     }
+    for (const int fd : fds) adopt(fd);
     for (auto& [conn_id, seq, payload] : batch) {
       auto it = conns.find(conn_id);
       if (it == conns.end()) continue;  // connection already went away
@@ -569,9 +662,9 @@ struct ServeSocket::Impl {
     }
   }
 
-  /// Flip into draining: close the listen socket, arm the deadline, mark
-  /// every connection closing (flush-what-is-owed-then-close) and reap the
-  /// ones that owe nothing right away.
+  /// Flip into draining: close the listen socket (loop 0), arm the
+  /// deadline, mark every connection closing (flush-what-is-owed-then-
+  /// close) and reap the ones that owe nothing right away.
   void begin_drain(Clock::time_point now) {
     draining = true;
     dstats.requested = true;
@@ -579,11 +672,11 @@ struct ServeSocket::Impl {
         now + std::chrono::microseconds(
                   static_cast<int64_t>(std::max(0.0, sopts.drain_ms) *
                                        1000.0));
-    if (listen_fd >= 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
+    if (index == 0 && sock.listen_fd >= 0) {
+      ::close(sock.listen_fd);
+      sock.listen_fd = -1;
+      if (trace::enabled()) trace::count("serve.drains");
     }
-    if (trace::enabled()) trace::count("serve.drains");
     std::vector<uint64_t> all;
     all.reserve(conns.size());
     for (auto& [id, conn] : conns) all.push_back(id);
@@ -595,12 +688,12 @@ struct ServeSocket::Impl {
     }
   }
 
-  void loop() {
+  void run() {
     std::vector<pollfd> pfds;
     std::vector<uint64_t> ids;
-    while (!stop.load()) {
+    while (!sock.stop.load()) {
       const Clock::time_point now = Clock::now();
-      if (drain_req.load(std::memory_order_relaxed) && !draining)
+      if (sock.drain_req.load(std::memory_order_relaxed) && !draining)
         begin_drain(now);
       if (draining) {
         if (conns.empty()) {
@@ -632,15 +725,15 @@ struct ServeSocket::Impl {
       };
 
       int listen_idx = -1;
-      if (!draining) {
+      if (draining) {
+        consider(drain_deadline);
+      } else if (index == 0) {
         if (now < accept_pause_until) {
           consider(accept_pause_until);  // resume accepting on schedule
         } else {
           listen_idx = static_cast<int>(pfds.size());
-          pfds.push_back({listen_fd, POLLIN, 0});
+          pfds.push_back({sock.listen_fd, POLLIN, 0});
         }
-      } else {
-        consider(drain_deadline);
       }
       const size_t wake_idx = pfds.size();
       pfds.push_back({dq->wake_r, POLLIN, 0});
@@ -666,7 +759,7 @@ struct ServeSocket::Impl {
         while (::read(dq->wake_r, buf, sizeof(buf)) > 0) {
         }
       }
-      drain_done();
+      drain_mail();
       if (listen_idx >= 0 && (pfds[listen_idx].revents & POLLIN))
         accept_ready();
       for (size_t i = 0; i < ids.size(); ++i) {
@@ -699,7 +792,77 @@ struct ServeSocket::Impl {
       }
     }
   }
+
+  /// After run(): refuse further hand-offs and close any that raced in.
+  void retire() {
+    std::vector<int> fds;
+    {
+      sync::MutexLock lk(dq->mu);
+      dq->closed = true;
+      fds.swap(dq->fds);
+    }
+    for (const int fd : fds) release_fd(fd);
+  }
 };
+
+ServeSocket::Impl::Impl(ServerCore& c, Endpoint e, SocketOptions so)
+    : core(c), ep(std::move(e)), sopts(so) {
+  // One loop per scheduler worker: inline cache hits scale with the same
+  // knob as scheduled work (ServeOptions::workers / --workers).
+  const size_t n = static_cast<size_t>(std::max(1, core.scheduler().width()));
+  loops.reserve(n);
+  for (size_t i = 0; i < n; ++i)
+    loops.push_back(std::make_unique<Loop>(*this, i));
+  core.set_io_loops(static_cast<int>(n));
+}
+
+ServeSocket::Impl::~Impl() {
+  loops.clear();  // closes every connection
+  core.set_io_loops(0);
+  if (listen_fd >= 0) ::close(listen_fd);
+  if (ep.kind == Endpoint::Kind::Unix) ::unlink(ep.path.c_str());
+}
+
+void ServeSocket::Impl::wake_all() {
+  // Async-signal-safe: the vector is fixed after construction and wake()
+  // is one write(2).
+  for (const auto& l : loops) l->dq->wake();
+}
+
+void ServeSocket::Impl::serve() {
+  // Loop 0 runs on the caller; the others get a thread each.  A loop that
+  // fails stops the rest, and the first failure is rethrown once all of
+  // them have been joined.
+  std::vector<std::exception_ptr> errors(loops.size());
+  const auto run_loop = [&](size_t i) {
+    try {
+      loops[i]->run();
+    } catch (...) {
+      errors[i] = std::current_exception();
+      stop.store(true);
+      wake_all();
+    }
+    loops[i]->retire();
+  };
+  std::vector<std::thread> threads;
+  const auto join_all = [&] {
+    for (auto& t : threads) t.join();
+  };
+  try {
+    threads.reserve(loops.size() - 1);
+    for (size_t i = 1; i < loops.size(); ++i)
+      threads.emplace_back(run_loop, i);
+  } catch (...) {  // could not start a thread: wind down the ones running
+    stop.store(true);
+    wake_all();
+    join_all();
+    throw;
+  }
+  run_loop(0);
+  join_all();
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+}
 
 ServeSocket::ServeSocket(ServerCore& core, const Endpoint& ep,
                          SocketOptions sopts)
@@ -742,23 +905,49 @@ ServeSocket::ServeSocket(ServerCore& core, const Endpoint& ep,
 
 ServeSocket::~ServeSocket() = default;
 
-void ServeSocket::serve_forever() { impl_->loop(); }
+void ServeSocket::serve_forever() { impl_->serve(); }
 
 void ServeSocket::stop() {
   impl_->stop.store(true);
-  impl_->dq->wake();
+  impl_->wake_all();
 }
 
 void ServeSocket::request_drain() {
-  // Async-signal-safe: one atomic store plus one write(2) on the self-pipe.
+  // Async-signal-safe: one atomic store plus one write(2) per loop.
   impl_->drain_req.store(true, std::memory_order_relaxed);
-  impl_->dq->wake();
+  impl_->wake_all();
 }
 
-const DrainStats& ServeSocket::drain_stats() const { return impl_->dstats; }
+DrainStats ServeSocket::drain_stats() const {
+  DrainStats total;
+  total.clean = true;
+  for (const auto& l : impl_->loops) {
+    total.requested = total.requested || l->dstats.requested;
+    total.clean = total.clean && l->dstats.clean;
+    total.forced_conns += l->dstats.forced_conns;
+  }
+  total.clean = total.clean && total.requested;
+  return total;
+}
 
-const NetChaos::Counts& ServeSocket::chaos_counts() const {
-  return impl_->chaos.counts();
+NetChaos::Counts ServeSocket::chaos_counts() const {
+  NetChaos::Counts total;
+  for (const auto& l : impl_->loops) {
+    const NetChaos::Counts& c = l->chaos.counts();
+    total.dribbles += c.dribbles;
+    total.partial_writes += c.partial_writes;
+    total.stalls += c.stalls;
+    total.resets += c.resets;
+    total.accept_fails += c.accept_fails;
+  }
+  return total;
+}
+
+std::vector<int64_t> ServeSocket::loop_connections() const {
+  std::vector<int64_t> out;
+  out.reserve(impl_->loops.size());
+  for (const auto& l : impl_->loops) out.push_back(l->served_conns);
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -21,18 +21,28 @@ PlanCache::Shard& PlanCache::shard_for(const std::string& key) {
 
 std::shared_ptr<CacheValue> PlanCache::find(const std::string& key,
                                             bool count) {
+  return lookup(key, count, count);
+}
+
+std::shared_ptr<CacheValue> PlanCache::find_hit(const std::string& key) {
+  return lookup(key, /*count_hit=*/true, /*count_miss=*/false);
+}
+
+std::shared_ptr<CacheValue> PlanCache::lookup(const std::string& key,
+                                              bool count_hit,
+                                              bool count_miss) {
   Shard& s = shard_for(key);
   sync::MutexLock lk(s.mu);
   auto it = s.index.find(key);
   if (it == s.index.end()) {
-    if (count) {
+    if (count_miss) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       if (trace::enabled()) trace::count("serve.cache_miss");
     }
     return nullptr;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);
-  if (count) {
+  if (count_hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (trace::enabled()) trace::count("serve.cache_hit");
   }

@@ -59,6 +59,11 @@ class PlanCache {
   /// the hit rate the smoke test asserts on).
   std::shared_ptr<CacheValue> find(const std::string& key, bool count = true);
 
+  /// Look up `key` counting only a hit: a miss stays uncounted because the
+  /// caller retries it through find() on another path (the server's inline
+  /// fast path falls back to a scheduled lookup), which counts it then.
+  std::shared_ptr<CacheValue> find_hit(const std::string& key);
+
   /// Insert `value` (of `bytes` bytes) under `key`, evicting from the
   /// shard's LRU tail until the shard budget holds.  When another thread
   /// inserted `key` first, the existing entry wins and is returned — the
@@ -95,6 +100,8 @@ class PlanCache {
   };
 
   Shard& shard_for(const std::string& key);
+  std::shared_ptr<CacheValue> lookup(const std::string& key, bool count_hit,
+                                     bool count_miss);
   void evict_locked(Shard& s, size_t need) REQUIRES(s.mu);
 
   size_t byte_budget_;

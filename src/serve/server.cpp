@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <sstream>
 #include <utility>
@@ -77,6 +78,31 @@ std::string opt_string(const Json& req, const std::string& key,
   return v->as_string();
 }
 
+/// Largest threshold a request may set: the value the fault runtime itself
+/// forces to disable a version, far above any Par a dataset produces.
+constexpr int64_t kMaxThreshold = int64_t{1} << 62;
+/// Upper bound on a tune request's trial budget.
+constexpr int64_t kMaxTuneTrials = 100000;
+
+/// A request number that must be an integer in [lo, hi].  Anything else
+/// (not a number, fractional, out of range) is a bad request — never an
+/// undefined double -> integer conversion.  lo and hi are exact doubles.
+int64_t req_int(const Json& v, const std::string& what, int64_t lo,
+                int64_t hi) {
+  if (v.is_number()) {
+    const double d = v.as_double();
+    if (d >= static_cast<double>(lo) && d <= static_cast<double>(hi) &&
+        d == std::floor(d))
+      return static_cast<int64_t>(d);
+  }
+  throw CompilerError(what + " must be an integer in [" + std::to_string(lo) +
+                      ", " + std::to_string(hi) + "]");
+}
+
+void bump(std::atomic<int64_t>& c) {
+  c.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::string program_key(const std::string& benchmark, const std::string& mode,
@@ -94,6 +120,13 @@ std::string shape_fingerprint(const std::map<std::string, int64_t>& sizes) {
   }
   return os.str();
 }
+
+/// A memoised dataset shape: the sizes a run entry's runtime prices, and
+/// their fingerprint, the tail of the entry's cache key.
+struct ServerCore::Shape {
+  SizeEnv sizes;
+  std::string fingerprint;
+};
 
 /// One cache entry: the compiled plan plus — for shape-keyed run entries —
 /// the tiered runtime and the batch queue.  The runtime is single-threaded
@@ -155,28 +188,25 @@ JobPriority ServerCore::priority_for(const std::string& op) {
 }
 
 RequestStats ServerCore::request_stats() const {
-  sync::MutexLock lk(stats_mu_);
-  return rstats_;
+  const auto get = [](const std::atomic<int64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  RequestStats rs;
+  rs.total = get(counts_.total);
+  rs.compiles = get(counts_.compiles);
+  rs.runs = get(counts_.runs);
+  rs.inline_runs = get(counts_.inline_runs);
+  rs.tunes = get(counts_.tunes);
+  rs.stats_calls = get(counts_.stats_calls);
+  rs.errors = get(counts_.errors);
+  rs.batches = get(counts_.batches);
+  rs.batched_runs = get(counts_.batched_runs);
+  rs.deadline_expired = get(counts_.deadline_expired);
+  return rs;
 }
 
-std::string ServerCore::handle_text(const std::string& payload) {
-  Json req;
-  try {
-    req = Json::parse(payload);
-  } catch (const JsonParseError& e) {
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.total;
-      ++rstats_.errors;
-    }
-    return error_response(code::kBadRequest,
-                          std::string("malformed request json: ") + e.what())
-        .str(-1);
-  }
-  return handle(req).str(-1);
-}
-
-Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
+Json ServerCore::answer(const Json& request, const CancelToken* cancel,
+                        ServedPlan* hit) {
   Json resp;
   if (cancel && cancel->expired()) {
     // The deadline passed before any work started (typically: the job sat
@@ -185,17 +215,19 @@ Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
     resp = retriable_error(code::kTimeout,
                            "deadline expired before the request ran");
     echo_id(request, resp);
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.total;
-      ++rstats_.errors;
-      ++rstats_.deadline_expired;
-    }
+    bump(counts_.total);
+    bump(counts_.errors);
+    bump(counts_.deadline_expired);
     if (trace::enabled()) trace::count("serve.deadline_expired");
     return resp;
   }
   try {
-    resp = dispatch(request, cancel);
+    if (hit) {
+      bump(counts_.runs);
+      resp = run_entry(*hit, request, cancel, /*cached=*/true);
+    } else {
+      resp = dispatch(request, cancel);
+    }
   } catch (const JsonParseError& e) {
     resp = error_response(code::kBadRequest, e.what());
   } catch (const CompilerError& e) {
@@ -206,13 +238,59 @@ Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
     resp = error_response(code::kInternal, e.what());
   }
   echo_id(request, resp);
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.total;
-    const Json* ok = resp.find("ok");
-    if (!ok || !ok->is_bool() || !ok->as_bool()) ++rstats_.errors;
-  }
+  bump(counts_.total);
+  const Json* ok = resp.find("ok");
+  if (!ok || !ok->is_bool() || !ok->as_bool()) bump(counts_.errors);
   return resp;
+}
+
+std::string ServerCore::handle_text(const std::string& payload) {
+  Json req;
+  try {
+    req = Json::parse(payload);
+  } catch (const JsonParseError& e) {
+    bump(counts_.total);
+    bump(counts_.errors);
+    return error_response(code::kBadRequest,
+                          std::string("malformed request json: ") + e.what())
+        .str(-1);
+  }
+  return handle(req).str(-1);
+}
+
+Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
+  return answer(request, cancel, nullptr);
+}
+
+std::optional<Json> ServerCore::handle_cached_run(const Json& request,
+                                                  const CancelToken* cancel) {
+  // Only a run whose fields are well-formed strings can hit; anything else
+  // is left to the ordinary path, which also produces its error response.
+  if (!request.is_object()) return std::nullopt;
+  static const std::string kMode = "incremental", kDevice = "k40";
+  const auto field = [&](const char* name,
+                         const std::string* dflt) -> const std::string* {
+    const Json* v = request.find(name);
+    if (!v) return dflt;
+    return v->is_string() ? &v->as_string() : nullptr;
+  };
+  const std::string* op = field("op", nullptr);
+  const std::string* bench = field("benchmark", nullptr);
+  const std::string* dataset = field("dataset", nullptr);
+  const std::string* mode = field("mode", &kMode);
+  const std::string* device = field("device", &kDevice);
+  if (!op || *op != "run" || !bench || !dataset || dataset->empty() ||
+      !mode || !device)
+    return std::nullopt;
+  std::string key;
+  if (!entry_key(*bench, *mode, *device, *dataset, /*resolve=*/false, &key))
+    return std::nullopt;
+  // Counts the hit; a miss stays uncounted for the scheduled lookup.  The
+  // shared_ptr pins the entry, so an eviction after this point is harmless.
+  auto entry = std::static_pointer_cast<ServedPlan>(cache_.find_hit(key));
+  if (!entry) return std::nullopt;
+  bump(counts_.inline_runs);
+  return answer(request, cancel, entry.get());
 }
 
 Json ServerCore::dispatch(const Json& req, const CancelToken* cancel) {
@@ -244,44 +322,59 @@ Json ServerCore::dispatch(const Json& req, const CancelToken* cancel) {
   return error_response(code::kUnknownOp, "unknown op '" + op + "'");
 }
 
+std::shared_ptr<const ServerCore::Shape> ServerCore::entry_key(
+    const std::string& benchmark, const std::string& mode,
+    const std::string& device, const std::string& dataset, bool resolve,
+    std::string* key) {
+  *key = program_key(benchmark, mode, device);
+  if (dataset.empty()) return nullptr;
+  // The shape fingerprint needs the dataset's SizeEnv, which lives on the
+  // Benchmark; memoise it so warm-path lookups skip get_benchmark().
+  std::string memo_key = benchmark;
+  memo_key += '|';
+  memo_key += dataset;
+  std::shared_ptr<const Shape> shape;
+  {
+    sync::ReaderMutexLock lk(shapes_mu_);
+    auto it = shapes_.find(memo_key);
+    if (it != shapes_.end()) shape = it->second;
+  }
+  if (!shape) {
+    if (!resolve) return nullptr;
+    Benchmark b = get_benchmark(benchmark);
+    const BenchDataset* found = nullptr;
+    for (const auto& d : b.datasets)
+      if (d.name == dataset) found = &d;
+    if (!found)
+      for (const auto& d : b.tuning)
+        if (d.name == dataset) found = &d;
+    if (!found) {
+      std::string msg = "benchmark '";
+      msg += benchmark;
+      msg += "' has no dataset '";
+      msg += dataset;
+      msg += "'";
+      throw CompilerError(msg);
+    }
+    auto fresh = std::make_shared<Shape>();
+    fresh->sizes = found->sizes;
+    fresh->fingerprint = shape_fingerprint(fresh->sizes);
+    sync::WriterMutexLock lk(shapes_mu_);
+    shape = shapes_.emplace(memo_key, std::move(fresh)).first->second;
+  }
+  *key += '|';
+  *key += shape->fingerprint;
+  return shape;
+}
+
 std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
     const std::string& benchmark, const std::string& mode,
     const std::string& device, const std::string& dataset, bool* cached) {
-  const std::string pkey = program_key(benchmark, mode, device);
-  std::string key = pkey;
-  SizeEnv sizes;
   const bool is_run = !dataset.empty();
-  if (is_run) {
-    // The shape fingerprint needs the dataset's SizeEnv, which lives on the
-    // Benchmark; memoise it so warm-path lookups skip get_benchmark().
-    {
-      sync::ReaderMutexLock lk(shapes_mu_);
-      auto it = shapes_.find(benchmark + "|" + dataset);
-      if (it != shapes_.end()) sizes = it->second;
-    }
-    if (sizes.empty()) {
-      Benchmark b = get_benchmark(benchmark);
-      const BenchDataset* found = nullptr;
-      for (const auto& d : b.datasets)
-        if (d.name == dataset) found = &d;
-      if (!found)
-        for (const auto& d : b.tuning)
-          if (d.name == dataset) found = &d;
-      if (!found) {
-        std::string msg = "benchmark '";
-        msg += benchmark;
-        msg += "' has no dataset '";
-        msg += dataset;
-        msg += "'";
-        throw CompilerError(msg);
-      }
-      sizes = found->sizes;
-      sync::WriterMutexLock lk(shapes_mu_);
-      shapes_.emplace(benchmark + "|" + dataset, sizes);
-    }
-    key += "|";
-    key += shape_fingerprint(sizes);
-  }
+  std::string key;
+  const std::shared_ptr<const Shape> shape =
+      entry_key(benchmark, mode, device, dataset, /*resolve=*/true, &key);
+  const std::string pkey = program_key(benchmark, mode, device);
 
   if (auto hit = cache_.find(key)) {
     *cached = true;
@@ -333,7 +426,7 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
   }
 
   if (is_run) {
-    sp->sizes = std::move(sizes);
+    sp->sizes = shape->sizes;
     TierPolicy tp;
     tp.specialize = opts_.specialize;
     tp.hot_runs = opts_.hot_runs;
@@ -352,10 +445,7 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
 }
 
 Json ServerCore::do_compile(const Json& req) {
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.compiles;
-  }
+  bump(counts_.compiles);
   const std::string& bench = req_string(req, "benchmark");
   const std::string mode = opt_string(req, "mode", "incremental");
   const std::string device = opt_string(req, "device", "k40");
@@ -388,7 +478,8 @@ Json ServerCore::run_one(ServedPlan& entry, const Json& req,
       throw CompilerError("'thresholds' must be an object");
     for (const auto& info : entry.compiled.flat.thresholds.all()) {
       if (const Json* v = tv->find(info.name))
-        thr.values[info.name] = static_cast<int64_t>(v->as_double());
+        thr.values[info.name] =
+            req_int(*v, "threshold '" + info.name + "'", 0, kMaxThreshold);
     }
   } else if (const Json* tuned = req.find("tuned");
              tuned && tuned->is_bool() && tuned->as_bool()) {
@@ -411,10 +502,7 @@ Json ServerCore::run_one(ServedPlan& entry, const Json& req,
   if (t.run.cancelled) {
     // Expired mid-execution: a scheduling outcome, answered retriable —
     // the request itself was fine, the daemon just ran out of its budget.
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.deadline_expired;
-    }
+    bump(counts_.deadline_expired);
     if (trace::enabled()) trace::count("serve.deadline_expired");
     return retriable_error(code::kTimeout,
                            "deadline expired during execution");
@@ -444,10 +532,7 @@ Json ServerCore::run_one(ServedPlan& entry, const Json& req,
 }
 
 Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.runs;
-  }
+  bump(counts_.runs);
   const std::string& bench = req_string(req, "benchmark");
   const std::string& dataset = req_string(req, "dataset");
   const std::string mode = opt_string(req, "mode", "incremental");
@@ -456,25 +541,26 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
 
   bool cached = false;
   auto entry = lookup_or_compile(bench, mode, device, dataset, &cached);
+  return run_entry(*entry, req, cancel, cached);
+}
 
+Json ServerCore::run_entry(ServedPlan& entry, const Json& req,
+                           const CancelToken* cancel, bool cached) {
   auto ticket = std::make_shared<ServedPlan::Ticket>();
   ticket->req = req;
   ticket->cancel = cancel;
 
-  sync::UniqueLock lk(entry->mu);
-  entry->pending.push_back(ticket);
-  if (entry->leader_active) {
+  sync::UniqueLock lk(entry.mu);
+  entry.pending.push_back(ticket);
+  if (entry.leader_active) {
     // Follower: a leader is already draining this entry's queue; it will
     // execute our request in its next batch and wake us.  Explicit loop
     // instead of a predicate lambda so the thread-safety analysis sees the
     // guarded read under the lock it requires.
-    while (!ticket->done) entry->cv.wait(entry->mu);
+    while (!ticket->done) entry.cv.wait(entry.mu);
     Json r = ticket->resp;
     lk.unlock();
-    {
-      sync::MutexLock slk(stats_mu_);
-      ++rstats_.batched_runs;
-    }
+    bump(counts_.batched_runs);
     r.set("cached", cached);
     r.set("batched", true);
     if (ticket->batch > 1) r.set("batch", ticket->batch);
@@ -494,7 +580,7 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
   // response (a follower's bad thresholds must not surface as the leader's
   // failure, nor abort its batchmates); the guard covers anything else that
   // escapes the drain, failing open tickets and waking every waiter.
-  entry->leader_active = true;
+  entry.leader_active = true;
   std::deque<std::shared_ptr<ServedPlan::Ticket>> batch;
   struct LeaderGuard {
     ServedPlan& e;
@@ -523,10 +609,10 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
         // Unlockable or unallocatable mid-unwind: nothing safer remains.
       }
     }
-  } guard{*entry, lk, batch};
-  while (!entry->pending.empty()) {
+  } guard{entry, lk, batch};
+  while (!entry.pending.empty()) {
     batch.clear();
-    batch.swap(entry->pending);
+    batch.swap(entry.pending);
     lk.unlock();
     if (auto* hook =
             testing::batch_abort_hook.load(std::memory_order_relaxed)) {
@@ -541,15 +627,12 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
         t->resp = retriable_error(code::kTimeout,
                                   "deadline expired in the batch queue");
         t->batch = bsz;
-        {
-          sync::MutexLock slk(stats_mu_);
-          ++rstats_.deadline_expired;
-        }
+        bump(counts_.deadline_expired);
         if (trace::enabled()) trace::count("serve.deadline_expired");
         continue;
       }
       try {
-        t->resp = run_one(*entry, t->req, t->cancel);
+        t->resp = run_one(entry, t->req, t->cancel);
       } catch (const JsonParseError& e) {
         t->resp = error_response(code::kBadRequest, e.what());
       } catch (const CompilerError& e) {
@@ -563,29 +646,25 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
     }
     lk.lock();
     for (auto& t : batch) t->done = true;
-    entry->cv.notify_all();
+    entry.cv.notify_all();
     if (bsz > 1) {
       if (trace::enabled()) trace::count("serve.batches");
-      sync::MutexLock slk(stats_mu_);
-      ++rstats_.batches;
+      bump(counts_.batches);
     }
   }
-  entry->leader_active = false;
+  entry.leader_active = false;
   guard.released = true;
   Json r = ticket->resp;
   lk.unlock();
 
   r.set("cached", cached);
-  if (entry->plan_reused && !cached) r.set("plan_cached", true);
+  if (entry.plan_reused && !cached) r.set("plan_cached", true);
   if (ticket->batch > 1) r.set("batch", ticket->batch);
   return r;
 }
 
 Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.tunes;
-  }
+  bump(counts_.tunes);
   const std::string& bench = req_string(req, "benchmark");
   const std::string mode = opt_string(req, "mode", "incremental");
   const std::string device = opt_string(req, "device", "k40");
@@ -602,11 +681,9 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
 
   TunerOptions topts;
   topts.max_trials = opts_.tune_trials;
-  if (const Json* tv = req.find("trials")) {
-    if (!tv->is_number() || tv->as_double() < 1)
-      throw CompilerError("'trials' must be a positive number");
-    topts.max_trials = static_cast<int>(tv->as_double());
-  }
+  if (const Json* tv = req.find("trials"))
+    topts.max_trials =
+        static_cast<int>(req_int(*tv, "'trials'", 1, kMaxTuneTrials));
   // Served tuning measures under the daemon's fault regime, so published
   // thresholds reflect the conditions runs will actually see.
   topts.noise = fspec_.noise;
@@ -621,8 +698,7 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
       topts.budget_ms = std::max(1.0, left);
       if (topts.budget_ms < 1.5) {
         // Effectively nothing left; answer timeout instead of a 1ms farce.
-        sync::MutexLock lk(stats_mu_);
-        ++rstats_.deadline_expired;
+        bump(counts_.deadline_expired);
         if (trace::enabled()) trace::count("serve.deadline_expired");
         return retriable_error(code::kTimeout,
                                "deadline expired before tuning started");
@@ -633,7 +709,7 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   TuningReport rep;
   {
     trace::Span span("serve.tune", "serve");
-    rep = autotune(entry->dev, entry->compiled.source,
+    rep = autotune(entry->dev, entry->compiled.flat.program,
                    entry->compiled.flat.thresholds, train, topts);
   }
 
@@ -662,10 +738,7 @@ Json ServerCore::do_stats() {
   const CacheStats cs = cache_.stats();
   const SchedulerStats ss = sched_.stats();
   const RequestStats rs = request_stats();
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.stats_calls;
-  }
+  bump(counts_.stats_calls);
 
   Json cache = Json::object();
   cache.set("hits", cs.hits);
@@ -687,11 +760,13 @@ Json ServerCore::do_stats() {
   sched.set("running", ss.running);
   sched.set("max_queue_depth", ss.max_queue_depth);
   sched.set("workers", sched_.width());
+  sched.set("io_loops", io_loops_.load(std::memory_order_relaxed));
 
   Json reqs = Json::object();
   reqs.set("total", rs.total);
   reqs.set("compiles", rs.compiles);
   reqs.set("runs", rs.runs);
+  reqs.set("inline_runs", rs.inline_runs);
   reqs.set("tunes", rs.tunes);
   reqs.set("stats", rs.stats_calls);
   reqs.set("errors", rs.errors);

@@ -20,9 +20,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
 #include "src/exec/exec.h"
 #include "src/exec/runtime.h"
+#include "src/gpusim/device.h"
 #include "src/serve/chaos.h"
 #include "src/serve/net.h"
 #include "src/serve/plan_cache.h"
@@ -164,6 +166,17 @@ TEST(Cache, HitMissCountersAndUncountedProbes) {
   EXPECT_EQ(s.inserts, 1);
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.bytes, 100u);
+}
+
+TEST(Cache, FindHitCountsOnlyHits) {
+  PlanCache cache(0, 1);
+  // A miss stays uncounted: the caller retries it through find().
+  EXPECT_EQ(cache.find_hit("a"), nullptr);
+  cache.insert("a", blob(1), 100);
+  EXPECT_NE(cache.find_hit("a"), nullptr);
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.misses, 0);
 }
 
 TEST(Cache, EvictsFromTheLruTail) {
@@ -691,6 +704,125 @@ TEST(Server, ThresholdOverridesAreHonoredPerRequest) {
             base.get("estimate_us").as_double());
 }
 
+TEST(Server, HandleCachedRunAnswersOnlyCachedRuns) {
+  ServerCore core(small_opts());
+  Json req = run_req("matmul", "square");
+  req.set("id", "r");
+  // Cold: no entry, nothing counted, nothing built.
+  EXPECT_FALSE(core.handle_cached_run(req).has_value());
+  EXPECT_EQ(core.cache().stats().misses, 0);
+  EXPECT_EQ(core.cache().stats().entries, 0u);
+  EXPECT_EQ(core.request_stats().total, 0);
+  const Json scheduled = core.handle(req);
+  ASSERT_TRUE(scheduled.get("ok").as_bool());
+  const serve::CacheStats before = core.cache().stats();
+
+  const std::optional<Json> hit = core.handle_cached_run(req);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->get("ok").as_bool());
+  EXPECT_TRUE(hit->get("cached").as_bool());
+  EXPECT_EQ(hit->get("id").as_string(), "r");
+  EXPECT_EQ(hit->get("estimate_us").as_double(),
+            scheduled.get("estimate_us").as_double());
+  // The hit is counted exactly once.
+  EXPECT_EQ(core.cache().stats().hits, before.hits + 1);
+  EXPECT_EQ(core.cache().stats().misses, before.misses);
+  const serve::RequestStats rs = core.request_stats();
+  EXPECT_EQ(rs.runs, 2);
+  EXPECT_EQ(rs.inline_runs, 1);
+  EXPECT_EQ(rs.total, 2);
+
+  // Anything that is not a well-formed cached run is left to handle().
+  Json compile_req = Json::object();
+  compile_req.set("op", "compile");
+  compile_req.set("benchmark", "matmul");
+  EXPECT_FALSE(core.handle_cached_run(compile_req).has_value());
+  Json bad = run_req("matmul", "square");
+  bad.set("mode", 3);
+  EXPECT_FALSE(core.handle_cached_run(bad).has_value());
+  EXPECT_FALSE(core.handle_cached_run(run_req("matmul", "skinny")).has_value());
+  EXPECT_EQ(core.request_stats().total, 2);
+}
+
+TEST(Server, ServedTuneEqualsOfflineAutotune) {
+  ServeOptions opts = small_opts();
+  ServerCore core(opts);
+  Json tune = Json::object();
+  tune.set("op", "tune");
+  tune.set("benchmark", "Heston");
+  tune.set("trials", 32);
+  const Json served = core.handle(tune);
+  ASSERT_TRUE(served.get("ok").as_bool()) << served.str(-1);
+
+  // The offline twin: the flattened program tuned with the daemon's
+  // options (same seeds, trial count, one worker).
+  const Benchmark b = get_benchmark("Heston");
+  const Compiled c = compile(b.program, FlattenMode::Incremental);
+  std::vector<TuningDataset> train;
+  for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
+  TunerOptions topts;
+  topts.max_trials = 32;
+  topts.measure_seed = opts.fault_seed;
+  topts.workers = 1;
+  const TuningReport offline = autotune(device_k40(), c.flat.program,
+                                        c.flat.thresholds, train, topts);
+
+  const Json& thr = served.get("thresholds");
+  ASSERT_GT(thr.size(), 0u);
+  ASSERT_EQ(thr.size(), offline.best.values.size());
+  for (const auto& [name, v] : offline.best.values)
+    EXPECT_EQ(thr.get(name).as_double(), static_cast<double>(v)) << name;
+  EXPECT_EQ(served.get("best_cost_us").as_double(), offline.best_cost_us);
+  EXPECT_EQ(served.get("default_cost_us").as_double(),
+            offline.default_cost_us);
+  EXPECT_EQ(served.get("evaluations").as_double(), offline.evaluations);
+  // Heston on k40 tunes well below its untuned cost: a search over the
+  // unflattened program would find no guard to move and stop at default.
+  EXPECT_LT(offline.best_cost_us, offline.default_cost_us);
+
+  // A tuned run prices exactly what offline simulate does under the
+  // published thresholds.
+  for (const auto& d : b.datasets) {
+    Json run = run_req("Heston", d.name);
+    run.set("tuned", true);
+    const Json r = core.handle(run);
+    ASSERT_TRUE(r.get("ok").as_bool()) << d.name;
+    EXPECT_EQ(r.get("estimate_us").as_double(),
+              simulate(device_k40(), c, d.sizes, offline.best).time_us)
+        << d.name;
+  }
+}
+
+TEST(Server, TuneTrialsAndThresholdValuesAreRangeChecked) {
+  ServerCore core(small_opts());
+  const auto code_of = [&](const Json& req) {
+    const Json r = core.handle(req);
+    return r.get("ok").as_bool() ? std::string("ok")
+                                 : r.get("code").as_string();
+  };
+  for (const Json& trials :
+       {Json(1e300), Json(-1.0), Json(0.0), Json(2.5), Json("8"),
+        Json(1e6)}) {
+    Json tune = Json::object();
+    tune.set("op", "tune");
+    tune.set("benchmark", "matmul");
+    tune.set("trials", trials);
+    EXPECT_EQ(code_of(tune), "bad-request") << trials.str(-1);
+  }
+  const Compiled c =
+      compile(get_benchmark("matmul").program, FlattenMode::Incremental);
+  ASSERT_FALSE(c.flat.thresholds.all().empty());
+  const std::string name = c.flat.thresholds.all().front().name;
+  for (const Json& v : {Json(1e300), Json(-1.0), Json(2.5), Json(true)}) {
+    Json run = run_req("matmul", "square");
+    run.set("thresholds", Json::object().set(name, v));
+    EXPECT_EQ(code_of(run), "bad-request") << v.str(-1);
+  }
+  Json edge = run_req("matmul", "square");
+  edge.set("thresholds", Json::object().set(name, int64_t{1} << 62));
+  EXPECT_EQ(code_of(edge), "ok");
+}
+
 TEST(Server, ConcurrentSamePlanRunsBatch) {
   ServeOptions opts = small_opts();
   ServerCore core(opts);
@@ -981,8 +1113,9 @@ struct SocketFixture {
   std::thread loop;
 
   explicit SocketFixture(const serve::Endpoint& ep,
-                         serve::SocketOptions sopts = {})
-      : core(small_opts()), sock(core, ep, sopts) {
+                         serve::SocketOptions sopts = {},
+                         ServeOptions opts = small_opts())
+      : core(opts), sock(core, ep, sopts) {
     loop = std::thread([this] { sock.serve_forever(); });
   }
   ~SocketFixture() {
@@ -1321,6 +1454,270 @@ TEST(Socket, ClientResponseTimeoutThrowsIoError) {
   EXPECT_THROW(client.call(run_req("matmul", "square")), IoError);
   release.store(true);
   for (const uint64_t g : gates) fx.core.scheduler().wait(g);
+}
+
+// ---------------------------------------------------------------------------
+// I/O loops: inline cache hits, sharded connections
+// ---------------------------------------------------------------------------
+
+int raw_connect(const serve::Endpoint& ep) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, ep.path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Read frames off a raw connection until `n` arrived or the peer closed.
+std::vector<Json> read_frames(int fd, size_t n) {
+  std::vector<Json> out;
+  FrameReader reader;
+  char buf[4096];
+  while (out.size() < n) {
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+    if (got <= 0) break;
+    reader.feed(buf, static_cast<size_t>(got));
+    std::string payload;
+    while (reader.next(&payload)) out.push_back(Json::parse(payload));
+  }
+  return out;
+}
+
+int64_t submitted(ServerCore& core) {
+  return core.scheduler().stats().submitted;
+}
+
+TEST(IoLoops, WarmRunsAnswerInlineWithoutTheScheduler) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline.sock");
+  SocketFixture fx(ep);
+  ServeClient client(ep);
+  // The cold run builds the entry on a scheduler worker.
+  const Json scheduled = client.call(run_req("matmul", "square"));
+  ASSERT_TRUE(scheduled.get("ok").as_bool());
+  EXPECT_FALSE(scheduled.get("cached").as_bool());
+  const int64_t sub0 = submitted(fx.core);
+  const int64_t inline0 = fx.core.request_stats().inline_runs;
+  constexpr int kRuns = 25;
+  for (int i = 0; i < kRuns; ++i) {
+    const Json r = client.call(run_req("matmul", "square"));
+    ASSERT_TRUE(r.get("ok").as_bool());
+    EXPECT_TRUE(r.get("cached").as_bool());
+    EXPECT_EQ(r.get("estimate_us").as_double(),
+              scheduled.get("estimate_us").as_double());
+  }
+  EXPECT_EQ(submitted(fx.core), sub0);
+  EXPECT_EQ(fx.core.request_stats().inline_runs, inline0 + kRuns);
+  // The stats op shows operators which path the runs took.
+  const Json st = client.call(Json::object().set("op", "stats"));
+  EXPECT_EQ(st.get("requests").get("inline_runs").as_double(),
+            static_cast<double>(inline0 + kRuns));
+  EXPECT_EQ(st.get("scheduler").get("io_loops").as_double(), 2.0);
+}
+
+TEST(IoLoops, PipelinedColdCompileThenWarmRunAnswerInOrder) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline_order.sock");
+  SocketFixture fx(ep);
+  {
+    ServeClient warm(ep);
+    ASSERT_TRUE(warm.call(run_req("matmul", "square")).get("ok").as_bool());
+  }
+  // Hold both workers so the compile stays queued while the warm run,
+  // pipelined behind it, is answered inline: its response must still wait
+  // for the compile's.
+  std::atomic<bool> release{false};
+  std::vector<uint64_t> gates;
+  for (int i = 0; i < 2; ++i) {
+    gates.push_back(fx.core.scheduler().submit(
+        [&](JobContext&) {
+          while (!release.load()) std::this_thread::yield();
+        },
+        JobPriority::High));
+  }
+  const int fd = raw_connect(ep);
+  ASSERT_GE(fd, 0);
+  Json compile_req = Json::object();
+  compile_req.set("op", "compile");
+  compile_req.set("benchmark", "LocVolCalib");
+  compile_req.set("id", "compile");
+  Json run = run_req("matmul", "square");
+  run.set("id", "run");
+  const std::string bytes = serve::encode_frame(compile_req.str(-1)) +
+                            serve::encode_frame(run.str(-1));
+  const int64_t inline0 = fx.core.request_stats().inline_runs;
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  // The run is answered (inline) while the compile still waits.
+  for (int i = 0; i < 200 && fx.core.request_stats().inline_runs == inline0;
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(fx.core.request_stats().inline_runs, inline0 + 1);
+  release.store(true);
+  const std::vector<Json> resps = read_frames(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(resps.size(), 2u);
+  EXPECT_EQ(resps[0].get("id").as_string(), "compile");
+  EXPECT_TRUE(resps[0].get("ok").as_bool());
+  EXPECT_EQ(resps[1].get("id").as_string(), "run");
+  EXPECT_TRUE(resps[1].get("ok").as_bool());
+  for (const uint64_t g : gates) fx.core.scheduler().wait(g);
+}
+
+TEST(IoLoops, EvictedEntryRunGoesToTheScheduler) {
+  // A one-entry cache: every insert evicts whatever was resident.
+  ServeOptions opts = small_opts();
+  opts.cache_bytes = 1;
+  opts.cache_shards = 1;
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline_evict.sock");
+  SocketFixture fx(ep, {}, opts);
+  ServeClient client(ep);
+  const Json first = client.call(run_req("matmul", "square"));
+  ASSERT_TRUE(first.get("ok").as_bool());
+  // Looked up and run inline while resident...
+  int64_t sub = submitted(fx.core);
+  ASSERT_TRUE(client.call(run_req("matmul", "square")).get("ok").as_bool());
+  EXPECT_EQ(submitted(fx.core), sub);
+  EXPECT_EQ(fx.core.request_stats().inline_runs, 1);
+  // ...then evicted by another key's entry: the next run of the first key
+  // must be built on a scheduler worker, never on the I/O loop.
+  ASSERT_TRUE(client.call(run_req("matmul", "skinny")).get("ok").as_bool());
+  EXPECT_FALSE(fx.core.handle_cached_run(run_req("matmul", "square"))
+                   .has_value());
+  sub = submitted(fx.core);
+  const int64_t misses = fx.core.cache().stats().misses;
+  const Json again = client.call(run_req("matmul", "square"));
+  ASSERT_TRUE(again.get("ok").as_bool());
+  EXPECT_FALSE(again.get("cached").as_bool());
+  EXPECT_EQ(again.get("estimate_us").as_double(),
+            first.get("estimate_us").as_double());
+  EXPECT_EQ(submitted(fx.core), sub + 1);
+  EXPECT_EQ(fx.core.request_stats().inline_runs, 1);
+  // The miss was counted once, by the scheduled lookup.
+  EXPECT_EQ(fx.core.cache().stats().misses, misses + 1);
+}
+
+TEST(IoLoops, WarmInlineRunWithExpiredDeadlineAnswersTimeout) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline_deadline.sock");
+  SocketFixture fx(ep);
+  ServeClient client(ep);
+  ASSERT_TRUE(client.call(run_req("matmul", "square")).get("ok").as_bool());
+  const int64_t sub = submitted(fx.core);
+  Json req = run_req("matmul", "square");
+  req.set("deadline_ms", 1e-6);  // expired before the loop gets to it
+  req.set("id", "late");
+  const Json resp = client.call(req);
+  EXPECT_FALSE(resp.get("ok").as_bool());
+  EXPECT_EQ(resp.get("code").as_string(), "timeout");
+  EXPECT_TRUE(serve::is_retriable(resp));
+  EXPECT_EQ(resp.get("id").as_string(), "late");
+  EXPECT_EQ(submitted(fx.core), sub);
+  EXPECT_EQ(fx.core.request_stats().inline_runs, 1);
+  EXPECT_EQ(fx.core.request_stats().deadline_expired, 1);
+}
+
+TEST(IoLoops, ConnCapCountsConnectionsAcrossLoops) {
+  ServeOptions opts = small_opts();
+  opts.workers = 4;
+  serve::SocketOptions so;
+  so.max_conns = 4;
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline_conncap.sock");
+  SocketFixture fx(ep, so, opts);
+  Json ping = Json::object();
+  ping.set("op", "ping");
+  std::vector<std::unique_ptr<ServeClient>> admitted;
+  for (int i = 0; i < 4; ++i) {
+    admitted.push_back(std::make_unique<ServeClient>(ep));
+    EXPECT_TRUE(admitted.back()->call(ping).get("ok").as_bool()) << i;
+  }
+  ServeClient fifth(ep);
+  const Json r = fifth.call(ping);
+  EXPECT_FALSE(r.get("ok").as_bool());
+  EXPECT_EQ(r.get("code").as_string(), "overloaded");
+  EXPECT_TRUE(serve::is_retriable(r));
+  // Closing an admitted connection frees a slot on any loop.
+  admitted.pop_back();
+  bool readmitted = false;
+  for (int i = 0; i < 100 && !readmitted; ++i) {
+    ServeClient again(ep);
+    readmitted = again.call(ping).get("ok").as_bool();
+    if (!readmitted) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(readmitted);
+}
+
+TEST(IoLoops, ShutdownOnOneLoopStopsEveryLoop) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline_shutdown.sock");
+  ServerCore core(small_opts());
+  ServeSocket sock(core, ep);
+  std::thread loop([&] { sock.serve_forever(); });
+  Json ping = Json::object();
+  ping.set("op", "ping");
+  ServeClient a(ep);
+  ServeClient b(ep);
+  EXPECT_TRUE(a.call(ping).get("ok").as_bool());
+  EXPECT_TRUE(b.call(ping).get("ok").as_bool());
+  Json req = Json::object();
+  req.set("op", "shutdown");
+  EXPECT_TRUE(b.call(req).get("shutdown").as_bool());
+  loop.join();  // both loops exited because of the op on one of them
+  EXPECT_EQ(sock.loop_connections(), (std::vector<int64_t>{1, 1}));
+}
+
+TEST(IoLoops, DrainWithConnectionsOnTwoLoopsIsClean) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_inline_drain.sock");
+  ServerCore core(small_opts());
+  serve::SocketOptions so;
+  so.drain_ms = 4000;
+  ServeSocket sock(core, ep, so);
+  std::thread loop([&] { sock.serve_forever(); });
+  std::atomic<bool> release{false};
+  std::vector<uint64_t> gates;
+  for (int i = 0; i < 2; ++i) {
+    gates.push_back(core.scheduler().submit(
+        [&](JobContext&) {
+          while (!release.load()) std::this_thread::yield();
+        },
+        JobPriority::High));
+  }
+  // Connection a (loop 0) has a scheduled run in flight; b (loop 1) idles.
+  const int a = raw_connect(ep);
+  const int b = raw_connect(ep);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  Json keep = run_req("matmul", "square");
+  keep.set("id", "keep");
+  const std::string bytes = serve::encode_frame(keep.str(-1));
+  ASSERT_EQ(::send(a, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  sock.request_drain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  release.store(true);
+  const std::vector<Json> got = read_frames(a, 2);
+  ASSERT_EQ(got.size(), 1u);  // the in-flight answer, then EOF
+  EXPECT_EQ(got[0].get("id").as_string(), "keep");
+  EXPECT_TRUE(got[0].get("ok").as_bool());
+  EXPECT_TRUE(read_frames(b, 1).empty());  // idle: closed without a frame
+  ::close(a);
+  ::close(b);
+  loop.join();
+  const serve::DrainStats ds = sock.drain_stats();
+  EXPECT_TRUE(ds.requested);
+  EXPECT_TRUE(ds.clean);
+  EXPECT_EQ(ds.forced_conns, 0);
+  EXPECT_EQ(sock.loop_connections(), (std::vector<int64_t>{1, 1}));
+  for (const uint64_t g : gates) core.scheduler().wait(g);
 }
 
 TEST(Socket, EndpointParsing) {

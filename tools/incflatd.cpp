@@ -63,8 +63,9 @@ int usage(FILE* to) {
                "  --cache-mb N       plan cache byte budget in MiB "
                "(default 64)\n"
                "  --cache-shards N   plan cache shard count (default 8)\n"
-               "  --workers N        scheduler worker threads "
-               "(default: min(cores, 8))\n"
+               "  --workers N        scheduler worker threads, and as many "
+               "I/O loops\n"
+               "                     (default: min(cores, 8))\n"
                "  --faults SPEC      fault injection for served runs\n"
                "                     (also INCFLAT_FAULTS)\n"
                "  --fault-seed N     fault stream seed "
@@ -83,7 +84,9 @@ int usage(FILE* to) {
                "  --queue-cap N      per-priority-class scheduler queue "
                "bound\n"
                "                     (reject-newest, 'overloaded' "
-               "retriable)\n"
+               "retriable); runs\n"
+               "                     answered inline from the plan cache "
+               "never queue\n"
                "  --drain-ms MS      graceful-drain bound on SIGTERM/SIGINT "
                "(default 5000)\n"
                "  --net-chaos SPEC   network chaos injection "
@@ -203,7 +206,7 @@ int main(int argc, char** argv) {
     sock.serve_forever();
     g_sock.store(nullptr, std::memory_order_relaxed);
 
-    const serve::DrainStats& ds = sock.drain_stats();
+    const serve::DrainStats ds = sock.drain_stats();
     if (ds.requested) {
       std::fprintf(stderr,
                    "incflatd: drained %s (%lld connection(s) forced)\n",
@@ -211,7 +214,7 @@ int main(int argc, char** argv) {
                    static_cast<long long>(ds.forced_conns));
     }
     if (opt.sock.chaos.enabled()) {
-      const serve::NetChaos::Counts& cc = sock.chaos_counts();
+      const serve::NetChaos::Counts cc = sock.chaos_counts();
       std::fprintf(stderr,
                    "incflatd: net-chaos fired %lld event(s): %lld dribble, "
                    "%lld partial-write, %lld stall, %lld reset, %lld "

@@ -36,8 +36,10 @@
 // violation, every response correlates to the request that asked for it
 // (in-order, exactly-once), shed / deadline-expired outcomes are structured
 // and retriable, a fresh client still gets a ping answered after the storm
-// (nothing wedged), and a requested drain completes clean within its bound.
-// `soak_faults chaos` runs a heavier version of just this phase.
+// (nothing wedged), a requested drain completes clean within its bound,
+// both of the daemon's I/O loops served connections, and chaos (summed over
+// the loops' streams) actually fired.  `soak_faults chaos` runs a heavier
+// version of just this phase.
 //
 // Exit code 0 only when every check passes — CI runs this under
 // ASan+UBSan, so memory errors in the fault paths also fail the job.
@@ -464,7 +466,7 @@ void soak_chaos(Tally& t, bool heavy) {
     sock.stop();
   }
   loop.join();
-  const serve::DrainStats& ds = sock.drain_stats();
+  const serve::DrainStats ds = sock.drain_stats();
   check(t, ds.requested, "chaos soak: drain request was never observed");
   check(t, ds.clean && ds.forced_conns == 0,
         "chaos soak: drain was not clean (" +
@@ -483,8 +485,13 @@ void soak_chaos(Tally& t, bool heavy) {
         "chaos soak: too few requests answered (" +
             std::to_string(answered.load()) + "/" +
             std::to_string(total_sent) + ")");
-  const serve::NetChaos::Counts& cc = sock.chaos_counts();
+  const serve::NetChaos::Counts cc = sock.chaos_counts();
   check(t, cc.total() > 0, "chaos soak: chaos never fired (vacuous)");
+  // workers = 2 means two I/O loops; connections are dealt round-robin, so
+  // a loop left idle means the hand-off is broken (or the soak is vacuous).
+  const std::vector<int64_t> per_loop = sock.loop_connections();
+  check(t, per_loop.size() == 2 && per_loop[0] > 0 && per_loop[1] > 0,
+        "chaos soak: an I/O loop served no connections");
   std::cout << "chaos soak: " << answered.load() << "/" << total_sent
             << " answered (" << shed.load() << " shed, " << expired.load()
             << " deadline-expired, " << resets.load() << " resets, "
@@ -492,8 +499,9 @@ void soak_chaos(Tally& t, bool heavy) {
             << cc.total() << " (" << cc.dribbles << " dribble, "
             << cc.partial_writes << " partial-write, " << cc.stalls
             << " stall, " << cc.resets << " reset, " << cc.accept_fails
-            << " accept-fail), drain "
-            << (ds.clean ? "clean" : "FORCED") << "\n";
+            << " accept-fail), connections per loop";
+  for (const int64_t n : per_loop) std::cout << " " << n;
+  std::cout << ", drain " << (ds.clean ? "clean" : "FORCED") << "\n";
   t.runs += answered.load();
   std::remove(ep.path.c_str());
 }
