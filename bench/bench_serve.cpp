@@ -10,7 +10,9 @@
 //      is >= 50x faster than cold in aggregate across the suite.
 //   2. Bit-identity.  A cache-served plan must answer run requests with the
 //      same estimate and the same kernel launches as a freshly compiled
-//      plan on a fresh core — the cache can never change results.
+//      plan on a fresh core — the cache can never change results.  A served
+//      tune (every benchmark x device) must return the thresholds and
+//      best_cost_us that offline autotune finds on the same KernelPlan.
 //   3. Mixed load.  16 concurrent clients with zipfian key skew issue a
 //      run/compile/stats mix against one core; reports throughput and
 //      p50/p95/p99 per op, and requires zero failed responses with a sane
@@ -29,7 +31,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
+#include "src/exec/exec.h"
+#include "src/gpusim/device.h"
 #include "src/serve/server.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
@@ -159,13 +164,59 @@ int run_bench() {
                   << (ok ? scratch.get("estimate_us").as_double() : -1)
                   << "\n";
       identity_rows.push(Json::object()
+                             .set("op", "run")
                              .set("benchmark", name)
                              .set("dataset", d.name)
                              .set("identical", same));
     }
   }
-  std::cout << "  bit-identity: " << identical << "/" << checked
-            << " cache-served runs match a fresh compile\n";
+  const int run_checked = checked;
+
+  // A served tune must equal offline autotune on the same KernelPlan: the
+  // daemon tunes its cache entry's plan with its own options (trial count,
+  // measurement seed, one worker), the twin tunes a fresh compile's plan
+  // with the same options.  Thresholds and best_cost_us bits must match.
+  for (const std::string& name : names) {
+    const Benchmark b = get_benchmark(name);
+    const Compiled c = compile(b.program, FlattenMode::Incremental);
+    std::vector<TuningDataset> train;
+    for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
+    for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+      TunerOptions topts;
+      topts.max_trials = opts.tune_trials;
+      topts.measure_seed = opts.fault_seed;
+      topts.workers = 1;
+      const TuningReport offline =
+          autotune(dev, *c.plan, c.flat.thresholds, train, topts);
+      Json req = Json::object();
+      req.set("op", "tune").set("benchmark", name).set("device", dev.name);
+      const Json served = call(core, req.str(-1), nullptr);
+      ++checked;
+      bool same = served.get("ok").as_bool() &&
+                  served.get("best_cost_us").as_double() ==
+                      offline.best_cost_us;
+      if (same) {
+        const Json& thr = served.get("thresholds");
+        same = thr.size() == offline.best.values.size();
+        for (const auto& [k, v] : offline.best.values) {
+          const Json* t = thr.find(k);
+          same = same && t && t->as_double() == static_cast<double>(v);
+        }
+      }
+      if (same) ++identical;
+      else
+        std::cout << "  MISMATCH tune " << name << "/" << dev.name << "\n";
+      identity_rows.push(Json::object()
+                             .set("op", "tune")
+                             .set("benchmark", name)
+                             .set("device", dev.name)
+                             .set("identical", same));
+    }
+  }
+  std::cout << "  bit-identity: " << identical << "/" << checked << " ("
+            << run_checked << " cache-served runs match a fresh compile, "
+            << checked - run_checked
+            << " served tunes match offline autotune)\n";
 
   // -- Phase 3: 16 concurrent clients, zipfian key skew --------------------
   struct Key {
@@ -292,7 +343,7 @@ int run_bench() {
             << " warm compile >= 50x faster than cold in aggregate ("
             << fmt_double(agg_ratio, 0) << "x)\n"
             << (gate_ident ? "[PASS]" : "[FAIL]")
-            << " cache-served plans bit-identical to fresh compiles ("
+            << " cache-served runs and served tunes bit-identical to offline ("
             << identical << "/" << checked << ")\n"
             << (gate_load ? "[PASS]" : "[FAIL]")
             << " zero failed responses and run p99 < 250 ms under mixed "

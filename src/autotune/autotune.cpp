@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -24,10 +23,30 @@ namespace incflat {
 
 namespace {
 
-ThresholdEnv to_env(const std::map<std::string, int64_t>& assignment,
+/// One threshold assignment over the search's slots: slot i is the i-th
+/// searched threshold name.  An unset slot holds the default value, so keys
+/// and costs never look at `set`; the flag only decides which names the
+/// reported ThresholdEnv lists (a name the search never drew stays absent,
+/// exactly as with a name-keyed map).
+struct Candidate {
+  std::vector<int64_t> value;
+  std::vector<char> set;
+
+  Candidate(size_t slots, int64_t default_value)
+      : value(slots, default_value), set(slots, 0) {}
+
+  void assign(size_t slot, int64_t v) {
+    value[slot] = v;
+    set[slot] = 1;
+  }
+};
+
+ThresholdEnv to_env(const std::vector<std::string>& names, const Candidate& c,
                     int64_t default_value) {
   ThresholdEnv env;
-  env.values = assignment;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (c.set[i]) env.values.emplace(names[i], c.value[i]);
+  }
   env.default_threshold = default_value;
   return env;
 }
@@ -185,14 +204,16 @@ struct WalkMemoizer {
   const Program& p;
   const ThresholdRegistry& reg;
   const std::vector<TuningDataset>& datasets;
+  const std::vector<std::string>& names;
   int64_t default_value;
   MeasureSession* session = nullptr;
   std::map<std::string, double> cache;
   int evaluations = 0;
   int dedup_hits = 0;
 
-  double cost(const std::map<std::string, int64_t>& assignment) {
-    const std::string key = signature_key(reg, datasets, assignment,
+  double cost(const Candidate& cand) {
+    const ThresholdEnv env = to_env(names, cand, default_value);
+    const std::string key = signature_key(reg, datasets, env.values,
                                           default_value, dev.max_group_size);
     auto it = cache.find(key);
     if (it != cache.end()) {
@@ -200,9 +221,7 @@ struct WalkMemoizer {
       return it->second;
     }
     ++evaluations;
-    const auto true_cost = [&] {
-      return tuning_cost(dev, p, datasets, to_env(assignment, default_value));
-    };
+    const auto true_cost = [&] { return tuning_cost(dev, p, datasets, env); };
     const double c =
         session ? session->evaluate(journal_hash(key.data(), key.size()),
                                     true_cost)
@@ -213,48 +232,66 @@ struct WalkMemoizer {
 };
 
 // ---------------------------------------------------------------------------
-// Plan-based evaluation: the program is lowered once, each dataset's sizes
-// are swept through the cost arena once, and every candidate afterwards is
-// a decision-tree descent.  Dedup keys are the concatenated guard-path
-// bitsets of all datasets, read off the same descent.
+// Plan-based evaluation, indexed by threshold slot.  Once per search: each
+// dataset's sizes are swept through the cost arena, its guard operands (Par
+// value, fit failure) are read off, and every guard is mapped to the slot
+// of its threshold.  A candidate's dedup key is then a structural descent
+// comparing int64 operands against int64 slot values, written into a
+// caller-owned buffer: no name lookups, no ThresholdEnv, no allocation.
+//
+// The key layout is part of the journal format and must not change: per
+// dataset, in order, the guard-path PathSig words (two bits per guard);
+// journals hash exactly these bytes (tests/data/ pins one).  A dedup miss
+// is priced through plan_cost under a ThresholdEnv, bit-identical to the
+// legacy walker.
 // ---------------------------------------------------------------------------
 
-struct PlanEval {
-  KernelPlan plan;
-  std::vector<std::unique_ptr<PlanDatasetCache>> caches;
-  const std::vector<TuningDataset>* datasets = nullptr;
-  int64_t default_value = 0;
-
-  bool ok() const { return !plan.legacy_fallback; }
-
-  static PlanEval build(const DeviceProfile& dev, const Program& p,
-                        const std::vector<TuningDataset>& datasets,
-                        int64_t default_value, WorkerPool& pool) {
+class PlanSearch {
+ public:
+  /// Warms one PlanDatasetCache per dataset, inline: a few arena sweeps,
+  /// too little work to pay for starting threads.
+  PlanSearch(const KernelPlan& plan, const DeviceProfile& dev,
+             const std::vector<TuningDataset>& datasets,
+             const std::vector<std::string>& names, int64_t default_value)
+      : plan_(plan),
+        datasets_(datasets),
+        default_value_(default_value),
+        guards_(plan.guards.size()),
+        words_((2 * plan.guards.size() + 63) / 64) {
     trace::Span span("tune.plan_warm");
-    PlanEval ev;
-    ev.plan = build_kernel_plan(p);
-    ev.datasets = &datasets;
-    ev.default_value = default_value;
-    if (!ev.plan.legacy_fallback) {
-      // Warm the per-dataset caches concurrently: each is one independent
-      // forward sweep over the arena plus kernel pricing.
-      ev.caches.resize(datasets.size());
-      pool.run(static_cast<int>(datasets.size()), [&](int i) {
-        ev.caches[static_cast<size_t>(i)] = std::make_unique<PlanDatasetCache>(
-            ev.plan, dev, datasets[static_cast<size_t>(i)].sizes);
-      });
+    caches_.reserve(datasets.size());
+    for (const TuningDataset& d : datasets) {
+      caches_.push_back(std::make_unique<PlanDatasetCache>(plan, dev, d.sizes));
     }
-    return ev;
+
+    std::map<std::string, int> slot_of;
+    for (size_t i = 0; i < names.size(); ++i) {
+      slot_of.emplace(names[i], static_cast<int>(i));
+    }
+    slot_.assign(guards_, -1);  // -1: not searched, always the default
+    for (size_t g = 0; g < guards_; ++g) {
+      const auto it = slot_of.find(plan.guards[g].threshold);
+      if (it != slot_of.end()) slot_[g] = it->second;
+    }
+    obs_.reserve(caches_.size() * guards_);
+    for (const auto& c : caches_) {
+      for (size_t g = 0; g < guards_; ++g) {
+        obs_.push_back(c->guard_obs(static_cast<int>(g)));
+      }
+    }
   }
 
-  /// Dedup key of an assignment across all datasets.
-  std::vector<uint64_t> key(const ThresholdEnv& env) const {
-    std::vector<uint64_t> k;
-    for (const auto& c : caches) {
-      const PathSig s = plan_signature(plan, *c, env);
-      k.insert(k.end(), s.bits.begin(), s.bits.end());
+  size_t key_words() const { return caches_.size() * words_; }
+  int64_t default_value() const { return default_value_; }
+
+  /// Dedup key of `c` into `out` (key_words() words): per dataset, the
+  /// PathSig plan_cost records.  Thread-safe for distinct `out`.
+  void key(const Candidate& c, uint64_t* out) const {
+    std::fill(out, out + key_words(), uint64_t{0});
+    for (size_t d = 0; d < caches_.size(); ++d) {
+      descend(plan_.root, obs_.data() + d * guards_, c.value.data(),
+              out + d * words_);
     }
-    return k;
   }
 
   /// Weighted-sum cost; the same accumulation order as tuning_cost, and
@@ -262,37 +299,90 @@ struct PlanEval {
   /// the legacy cost exactly.
   double cost(const ThresholdEnv& env) const {
     double total = 0;
-    for (size_t i = 0; i < caches.size(); ++i) {
-      total += (*datasets)[i].weight * plan_cost(plan, *caches[i], env);
+    for (size_t i = 0; i < caches_.size(); ++i) {
+      total += datasets_[i].weight * plan_cost(plan_, *caches_[i], env);
     }
     return total;
   }
+
+ private:
+  /// The guard-path descent over one dataset's guard operands: kernels
+  /// are skipped, guards take the branch PlanDatasetCache::guard_taken
+  /// would, both arms of a data-dependent branch count.
+  void descend(int id, const PlanDatasetCache::GuardObs* obs,
+               const int64_t* value, uint64_t* sig) const {
+    const PlanNode& n = plan_.nodes[static_cast<size_t>(id)];
+    switch (n.kind) {
+      case PlanNode::Kind::Block:
+        for (const PlanNode::Step& s : n.steps) {
+          if (!s.is_kernel) descend(s.index, obs, value, sig);
+        }
+        return;
+      case PlanNode::Kind::Guard: {
+        const PlanDatasetCache::GuardObs& o = obs[n.guard];
+        if (o.error) {
+          throw EvalError(
+              "plan: guard size expression uses an unbound variable");
+        }
+        const int slot = slot_[static_cast<size_t>(n.guard)];
+        const int64_t t = slot < 0 ? default_value_ : value[slot];
+        const bool taken = !o.fit_fail && o.par >= t;
+        const size_t b = 2 * static_cast<size_t>(n.guard);
+        sig[b / 64] |= (uint64_t{1} | uint64_t{taken} << 1) << (b % 64);
+        descend(taken ? n.then_node : n.else_node, obs, value, sig);
+        return;
+      }
+      case PlanNode::Kind::DataCond:
+        descend(n.then_node, obs, value, sig);
+        descend(n.else_node, obs, value, sig);
+        return;
+      case PlanNode::Kind::Scale:
+        descend(n.child, obs, value, sig);
+        return;
+    }
+  }
+
+  const KernelPlan& plan_;
+  const std::vector<TuningDataset>& datasets_;
+  int64_t default_value_;
+  size_t guards_;
+  size_t words_;  // PathSig words per dataset
+  std::vector<std::unique_ptr<PlanDatasetCache>> caches_;
+  std::vector<int> slot_;                        // per guard
+  std::vector<PlanDatasetCache::GuardObs> obs_;  // dataset-major
 };
 
+using PlanKey = std::vector<uint64_t>;
+
 struct PlanMemoizer {
-  const PlanEval& ev;
+  const PlanSearch& ev;
+  const std::vector<std::string>& names;
   MeasureSession* session = nullptr;
-  std::map<std::vector<uint64_t>, double> cache;
+  std::map<PlanKey, double> cache;
+  PlanKey key;  // reused by every candidate; copied only on a miss
   int evaluations = 0;
   int dedup_hits = 0;
 
-  double cost(const std::map<std::string, int64_t>& assignment) {
-    const ThresholdEnv env = to_env(assignment, ev.default_value);
-    std::vector<uint64_t> k = ev.key(env);
-    auto it = cache.find(k);
+  PlanMemoizer(const PlanSearch& e, const std::vector<std::string>& n,
+               MeasureSession* s)
+      : ev(e), names(n), session(s), key(e.key_words()) {}
+
+  double cost(const Candidate& cand) {
+    ev.key(cand, key.data());
+    const auto it = cache.find(key);
     if (it != cache.end()) {
       ++dedup_hits;
       return it->second;
     }
     ++evaluations;
+    const ThresholdEnv env = to_env(names, cand, ev.default_value());
     const auto true_cost = [&] { return ev.cost(env); };
     const double c =
-        session
-            ? session->evaluate(
-                  journal_hash(k.data(), k.size() * sizeof(uint64_t)),
-                  true_cost)
-            : true_cost();
-    cache.emplace(std::move(k), c);
+        session ? session->evaluate(
+                      journal_hash(key.data(), key.size() * sizeof(uint64_t)),
+                      true_cost)
+                : true_cost();
+    cache.emplace(key, c);
     return c;
   }
 };
@@ -314,36 +404,18 @@ void stochastic_search(Memo& memo, const std::vector<std::string>& names,
     return static_cast<double>(elapsed.count()) / 1000.0 > opts.budget_ms;
   };
 
-  std::map<std::string, int64_t> incumbent;  // empty = all defaults
+  const size_t slots = names.size();
+  Candidate incumbent(slots, opts.default_threshold);  // all defaults
   double best = memo.cost(incumbent);
   rep.default_cost_us = best;
   rep.trials = 1;
 
-  if (!names.empty()) {
+  if (slots > 0) {
     Rng rng(opts.seed);
-    auto random_assignment = [&] {
-      std::map<std::string, int64_t> a;
-      for (const auto& n : names) {
-        a[n] = int64_t{1} << rng.uniform_int(opts.log2_min, opts.log2_max);
-      }
-      return a;
-    };
-    auto mutate = [&](std::map<std::string, int64_t> a) {
-      const int n_mut = static_cast<int>(
-          rng.uniform_int(1, std::max<size_t>(names.size() / 2, 1)));
-      for (int k = 0; k < n_mut; ++k) {
-        const auto& n = names[static_cast<size_t>(
-            rng.uniform_int(0, static_cast<int64_t>(names.size()) - 1))];
-        int64_t cur = a.count(n) ? a[n] : opts.default_threshold;
-        int exp = 0;
-        while ((int64_t{1} << exp) < cur && exp < 62) ++exp;
-        exp += static_cast<int>(rng.uniform_int(-4, 4));
-        exp = std::clamp(exp, opts.log2_min, opts.log2_max);
-        a[n] = int64_t{1} << exp;
-      }
-      return a;
-    };
-
+    const int64_t last_slot = static_cast<int64_t>(slots) - 1;
+    const int64_t max_mut =
+        static_cast<int64_t>(std::max<size_t>(slots / 2, 1));
+    Candidate cand = incumbent;  // one buffer for every trial
     for (int t = 1; t < opts.max_trials; ++t) {
       if (over_budget()) {
         rep.early_stopped = true;
@@ -351,43 +423,58 @@ void stochastic_search(Memo& memo, const std::vector<std::string>& names,
       }
       // Ensemble: half random exploration, half hill climbing on the
       // incumbent (OpenTuner's technique mixture, simplified).
-      std::map<std::string, int64_t> cand =
-          rng.flip(0.5) ? random_assignment() : mutate(incumbent);
+      if (rng.flip(0.5)) {
+        for (size_t i = 0; i < slots; ++i) {
+          cand.assign(i, int64_t{1}
+                             << rng.uniform_int(opts.log2_min, opts.log2_max));
+        }
+      } else {
+        cand = incumbent;
+        const int n_mut = static_cast<int>(rng.uniform_int(1, max_mut));
+        for (int k = 0; k < n_mut; ++k) {
+          const size_t i = static_cast<size_t>(rng.uniform_int(0, last_slot));
+          int exp = 0;
+          while ((int64_t{1} << exp) < cand.value[i] && exp < 62) ++exp;
+          exp += static_cast<int>(rng.uniform_int(-4, 4));
+          exp = std::clamp(exp, opts.log2_min, opts.log2_max);
+          cand.assign(i, int64_t{1} << exp);
+        }
+      }
       ++rep.trials;
       const double c = memo.cost(cand);
       if (c < best) {
         best = c;
-        incumbent = std::move(cand);
+        std::swap(incumbent, cand);
       }
     }
   }
 
-  rep.best = to_env(incumbent, opts.default_threshold);
+  rep.best = to_env(names, incumbent, opts.default_threshold);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;
   rep.dedup_hits = memo.dedup_hits;
 }
 
-/// All full assignments of `cands` values to `names`, in the legacy
-/// recursive enumeration order (innermost name varies fastest).
-std::vector<std::map<std::string, int64_t>> enumerate_assignments(
-    const std::vector<std::string>& names,
-    const std::vector<std::vector<int64_t>>& cands) {
-  std::vector<std::map<std::string, int64_t>> all;
-  std::map<std::string, int64_t> current;
-  std::function<void(size_t)> go = [&](size_t i) {
-    if (i == names.size()) {
-      all.push_back(current);
-      return;
+/// Every full assignment of `cands` values to the slots, in the legacy
+/// recursive enumeration order (the last slot varies fastest).
+std::vector<Candidate> enumerate_assignments(
+    const std::vector<std::vector<int64_t>>& cands, int64_t default_value) {
+  std::vector<Candidate> all;
+  Candidate cur(cands.size(), default_value);
+  std::vector<size_t> ix(cands.size(), 0);
+  for (size_t i = 0; i < cands.size(); ++i) cur.assign(i, cands[i][0]);
+  for (;;) {
+    all.push_back(cur);
+    size_t i = cands.size();
+    for (;;) {
+      if (i == 0) return all;
+      --i;
+      if (++ix[i] < cands[i].size()) break;
+      ix[i] = 0;
+      cur.assign(i, cands[i][0]);
     }
-    for (int64_t v : cands[i]) {
-      current[names[i]] = v;
-      go(i + 1);
-    }
-    current.erase(names[i]);
-  };
-  go(0);
-  return all;
+    cur.assign(i, cands[i][ix[i]]);
+  }
 }
 
 /// One-shot trace counters for a finished search: the hot candidate loop
@@ -401,22 +488,19 @@ void trace_report(const TuningReport& rep) {
   if (rep.used_plan) trace::count("tuner.plan_searches");
 }
 
-}  // namespace
-
-double tuning_cost(const DeviceProfile& dev, const Program& p,
-                   const std::vector<TuningDataset>& datasets,
-                   const ThresholdEnv& thresholds) {
-  double total = 0;
-  for (const auto& d : datasets) {
-    total += d.weight * estimate_run(dev, p, d.sizes, thresholds).time_us;
-  }
-  return total;
+/// The plan a search evaluates on, or null when the legacy walker prices
+/// candidates (use_plan off, no plan, or a plan outside the builder's
+/// fragment).
+const KernelPlan* usable_plan(const KernelPlan* plan,
+                              const TunerOptions& opts) {
+  return opts.use_plan && plan && !plan->legacy_fallback ? plan : nullptr;
 }
 
-TuningReport autotune(const DeviceProfile& dev, const Program& p,
-                      const ThresholdRegistry& reg,
-                      const std::vector<TuningDataset>& datasets,
-                      const TunerOptions& opts) {
+TuningReport autotune_impl(const DeviceProfile& dev, const Program& p,
+                           const KernelPlan* plan,
+                           const ThresholdRegistry& reg,
+                           const std::vector<TuningDataset>& datasets,
+                           const TunerOptions& opts) {
   trace::Span span("tune.stochastic");
   TuningReport rep;
   std::vector<std::string> names;
@@ -485,26 +569,23 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
     }
   }
 
-  if (opts.use_plan) {
-    WorkerPool pool(opts.workers);
-    PlanEval ev =
-        PlanEval::build(dev, p, datasets, opts.default_threshold, pool);
-    if (ev.ok()) {
-      PlanMemoizer memo{ev, session.get(), {}, 0, 0};
-      stochastic_search(memo, names, eff, rep);
-      rep.used_plan = true;
-      trace_report(rep);
-      return rep;
-    }
+  if (const KernelPlan* kp = usable_plan(plan, opts)) {
+    const PlanSearch ev(*kp, dev, datasets, names, opts.default_threshold);
+    PlanMemoizer memo(ev, names, session.get());
+    stochastic_search(memo, names, eff, rep);
+    rep.used_plan = true;
+    trace_report(rep);
+    return rep;
   }
-  WalkMemoizer memo{dev,  p,           reg, datasets, opts.default_threshold,
+  WalkMemoizer memo{dev,   p,  reg, datasets, names, opts.default_threshold,
                     session.get(), {}, 0,   0};
   stochastic_search(memo, names, eff, rep);
   trace_report(rep);
   return rep;
 }
 
-TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
+TuningReport exhaustive_impl(const DeviceProfile& dev, const Program& p,
+                             const KernelPlan* plan,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
                              int64_t default_threshold,
@@ -524,99 +605,145 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
     names.push_back(ti.name);
     cands.emplace_back(c.begin(), c.end());
   }
-  const std::vector<std::map<std::string, int64_t>> all =
-      enumerate_assignments(names, cands);
+  const std::vector<Candidate> all =
+      enumerate_assignments(cands, default_threshold);
+  const Candidate defaults(names.size(), default_threshold);
 
-  if (opts.use_plan) {
+  if (const KernelPlan* kp = usable_plan(plan, opts)) {
     WorkerPool pool(opts.workers);
-    PlanEval ev = PlanEval::build(dev, p, datasets, default_threshold, pool);
-    if (ev.ok()) {
-      rep.used_plan = true;
-      const int n = static_cast<int>(all.size());
+    const PlanSearch ev(*kp, dev, datasets, names, default_threshold);
+    rep.used_plan = true;
+    const int n = static_cast<int>(all.size());
 
-      // Phase 1: dedup keys for every candidate, concurrently.
-      std::vector<ThresholdEnv> envs(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        envs[static_cast<size_t>(i)] =
-            to_env(all[static_cast<size_t>(i)], default_threshold);
-      }
-      const ThresholdEnv default_env = to_env({}, default_threshold);
-      const std::vector<uint64_t> default_key = ev.key(default_env);
-      std::vector<std::vector<uint64_t>> keys(static_cast<size_t>(n));
-      pool.run(n, [&](int i) {
-        keys[static_cast<size_t>(i)] = ev.key(envs[static_cast<size_t>(i)]);
-      });
+    // Phase 1: dedup keys for every candidate, concurrently.
+    PlanKey default_key(ev.key_words());
+    ev.key(defaults, default_key.data());
+    std::vector<PlanKey> keys(all.size(), PlanKey(ev.key_words()));
+    pool.run(n, [&](int i) {
+      ev.key(all[static_cast<size_t>(i)], keys[static_cast<size_t>(i)].data());
+    });
 
-      // Phase 2: one representative per distinct key (-1 = default env).
-      std::map<std::vector<uint64_t>, int> rep_ix;
-      rep_ix.emplace(default_key, -1);
-      for (int i = 0; i < n; ++i) {
-        rep_ix.emplace(keys[static_cast<size_t>(i)], i);
-      }
-
-      // Phase 3: price only the representatives, concurrently.
-      std::vector<std::pair<const std::vector<uint64_t>*, int>> uniq;
-      uniq.reserve(rep_ix.size());
-      for (const auto& [k, ix] : rep_ix) uniq.emplace_back(&k, ix);
-      std::vector<double> ucost(uniq.size());
-      pool.run(static_cast<int>(uniq.size()), [&](int u) {
-        const int ix = uniq[static_cast<size_t>(u)].second;
-        ucost[static_cast<size_t>(u)] =
-            ev.cost(ix < 0 ? default_env : envs[static_cast<size_t>(ix)]);
-      });
-      std::map<std::vector<uint64_t>, double> cost_of;
-      for (size_t u = 0; u < uniq.size(); ++u) {
-        cost_of.emplace(*uniq[u].first, ucost[u]);
-      }
-
-      // Phase 4: deterministic sequential replay of the legacy scan order,
-      // with the memoizer's counter semantics.
-      std::set<std::vector<uint64_t>> seen;
-      auto memo_cost = [&](const std::vector<uint64_t>& k) {
-        if (seen.insert(k).second) {
-          ++rep.evaluations;
-        } else {
-          ++rep.dedup_hits;
-        }
-        return cost_of.at(k);
-      };
-      rep.default_cost_us = memo_cost(default_key);
-      double best = memo_cost(default_key);
-      std::map<std::string, int64_t> best_assign;
-      for (int i = 0; i < n; ++i) {
-        ++rep.trials;
-        const double c = memo_cost(keys[static_cast<size_t>(i)]);
-        if (c < best) {
-          best = c;
-          best_assign = all[static_cast<size_t>(i)];
-        }
-      }
-      rep.best = to_env(best_assign, default_threshold);
-      rep.best_cost_us = best;
-      trace_report(rep);
-      return rep;
+    // Phase 2: one representative per distinct key (-1 = default env).
+    std::map<PlanKey, int> rep_ix;
+    rep_ix.emplace(default_key, -1);
+    for (int i = 0; i < n; ++i) {
+      rep_ix.emplace(keys[static_cast<size_t>(i)], i);
     }
+
+    // Phase 3: price only the representatives, concurrently.
+    std::vector<std::pair<const PlanKey*, int>> uniq;
+    uniq.reserve(rep_ix.size());
+    for (const auto& [k, ix] : rep_ix) uniq.emplace_back(&k, ix);
+    std::vector<double> ucost(uniq.size());
+    pool.run(static_cast<int>(uniq.size()), [&](int u) {
+      const int ix = uniq[static_cast<size_t>(u)].second;
+      ucost[static_cast<size_t>(u)] = ev.cost(
+          to_env(names, ix < 0 ? defaults : all[static_cast<size_t>(ix)],
+                 default_threshold));
+    });
+    std::map<PlanKey, double> cost_of;
+    for (size_t u = 0; u < uniq.size(); ++u) {
+      cost_of.emplace(*uniq[u].first, ucost[u]);
+    }
+
+    // Phase 4: deterministic sequential replay of the legacy scan order,
+    // with the memoizer's counter semantics.
+    std::set<PlanKey> seen;
+    auto memo_cost = [&](const PlanKey& k) {
+      if (seen.insert(k).second) {
+        ++rep.evaluations;
+      } else {
+        ++rep.dedup_hits;
+      }
+      return cost_of.at(k);
+    };
+    rep.default_cost_us = memo_cost(default_key);
+    double best = memo_cost(default_key);
+    const Candidate* best_assign = &defaults;
+    for (int i = 0; i < n; ++i) {
+      ++rep.trials;
+      const double c = memo_cost(keys[static_cast<size_t>(i)]);
+      if (c < best) {
+        best = c;
+        best_assign = &all[static_cast<size_t>(i)];
+      }
+    }
+    rep.best = to_env(names, *best_assign, default_threshold);
+    rep.best_cost_us = best;
+    trace_report(rep);
+    return rep;
   }
 
-  WalkMemoizer memo{dev, p,  reg, datasets, default_threshold,
+  WalkMemoizer memo{dev,     p,  reg, datasets, names, default_threshold,
                     nullptr, {}, 0,   0};
-  rep.default_cost_us = memo.cost({});
-  std::map<std::string, int64_t> best_assign;
-  double best = memo.cost({});
-  for (const auto& a : all) {
+  rep.default_cost_us = memo.cost(defaults);
+  const Candidate* best_assign = &defaults;
+  double best = memo.cost(defaults);
+  for (const Candidate& a : all) {
     ++rep.trials;
     const double c = memo.cost(a);
     if (c < best) {
       best = c;
-      best_assign = a;
+      best_assign = &a;
     }
   }
-  rep.best = to_env(best_assign, default_threshold);
+  rep.best = to_env(names, *best_assign, default_threshold);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;
   rep.dedup_hits = memo.dedup_hits;
   trace_report(rep);
   return rep;
+}
+
+}  // namespace
+
+double tuning_cost(const DeviceProfile& dev, const Program& p,
+                   const std::vector<TuningDataset>& datasets,
+                   const ThresholdEnv& thresholds) {
+  double total = 0;
+  for (const auto& d : datasets) {
+    total += d.weight * estimate_run(dev, p, d.sizes, thresholds).time_us;
+  }
+  return total;
+}
+
+TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
+                      const ThresholdRegistry& reg,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts) {
+  return autotune_impl(dev, plan.program, &plan, reg, datasets, opts);
+}
+
+TuningReport autotune(const DeviceProfile& dev, const Program& p,
+                      const ThresholdRegistry& reg,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts) {
+  if (!opts.use_plan) {
+    return autotune_impl(dev, p, nullptr, reg, datasets, opts);
+  }
+  return autotune(dev, build_kernel_plan(p), reg, datasets, opts);
+}
+
+TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
+                             const ThresholdRegistry& reg,
+                             const std::vector<TuningDataset>& datasets,
+                             int64_t default_threshold,
+                             const TunerOptions& opts) {
+  return exhaustive_impl(dev, plan.program, &plan, reg, datasets,
+                         default_threshold, opts);
+}
+
+TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
+                             const ThresholdRegistry& reg,
+                             const std::vector<TuningDataset>& datasets,
+                             int64_t default_threshold,
+                             const TunerOptions& opts) {
+  if (!opts.use_plan) {
+    return exhaustive_impl(dev, p, nullptr, reg, datasets, default_threshold,
+                           opts);
+  }
+  return exhaustive_tune(dev, build_kernel_plan(p), reg, datasets,
+                         default_threshold, opts);
 }
 
 }  // namespace incflat

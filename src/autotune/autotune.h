@@ -8,14 +8,15 @@
 // paper's branching-tree deduplication — assignments that select the same
 // code version on every training dataset share one (simulated) measurement.
 //
-// Cost evaluation goes through the plan layer (src/plan/): the program is
-// lowered once into a KernelPlan decision tree, each training dataset gets
-// a PlanDatasetCache (warmed concurrently on a worker pool), and from then
-// on every candidate assignment costs one tree descent instead of an IR
-// walk.  Dedup keys are guard-path bitsets read off the same descent.  The
-// legacy IR-walking path is kept behind TunerOptions::use_plan as a debug
-// oracle (and as the automatic fallback for programs outside the plan
-// builder's fragment).
+// Cost evaluation goes through the plan layer (src/plan/): the search takes
+// the compiled KernelPlan decision tree, each training dataset gets a
+// PlanDatasetCache, and every threshold gets an integer slot.  Guards are
+// mapped to slots and each dataset's guard operands are read once, so a
+// candidate's dedup key (the guard-path bitsets of all datasets) is one
+// allocation-free descent; only a dedup miss prices the tree.  The legacy
+// IR-walking path is kept behind TunerOptions::use_plan as a debug oracle
+// (and as the automatic fallback for programs outside the plan builder's
+// fragment).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,8 @@
 #include "src/profile/profile.h"
 
 namespace incflat {
+
+struct KernelPlan;  // src/plan/plan.h
 
 /// One training dataset: a size environment and a weight in the cost
 /// function (the paper uses the unweighted sum; weights allow the "user
@@ -51,8 +54,9 @@ struct TunerOptions {
   /// debug oracle — results are bit-identical either way.
   bool use_plan = true;
 
-  /// Worker threads for per-dataset cache warming and exhaustive candidate
-  /// batches; <= 0 picks a small default from hardware_concurrency.
+  /// Worker threads for exhaustive_tune's key and pricing batches; <= 0
+  /// picks a small default from hardware_concurrency.  The stochastic
+  /// search runs on the calling thread alone.
   int workers = 0;
 
   // --- robustness (fault-injected measurements; all off by default, in
@@ -118,7 +122,16 @@ struct TuningReport {
   int cold_pruned = 0;        // thresholds pruned as cold (never reached)
 };
 
-/// Tune `p`'s thresholds for `dev` over the training datasets.
+/// Tune the thresholds of a compiled program for `dev` over the training
+/// datasets.  `plan` is the program's KernelPlan (Compiled::plan); `reg` its
+/// threshold registry.
+TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
+                      const ThresholdRegistry& reg,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts = {});
+
+/// Same, from the target program: builds its plan first (unless use_plan is
+/// off) and reports exactly what the plan overload does.
 TuningReport autotune(const DeviceProfile& dev, const Program& p,
                       const ThresholdRegistry& reg,
                       const std::vector<TuningDataset>& datasets,
@@ -128,6 +141,13 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
 /// takes values from {1, 2^62} ∪ {per-dataset Par values}, so every
 /// reachable combination of code-version selections is visited.  Used as
 /// the oracle in tests and the "AIF with unlimited tuning budget" bound.
+TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
+                             const ThresholdRegistry& reg,
+                             const std::vector<TuningDataset>& datasets,
+                             int64_t default_threshold = int64_t{1} << 15,
+                             const TunerOptions& opts = {});
+
+/// Same, from the target program (builds its plan first).
 TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,

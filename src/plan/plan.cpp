@@ -181,43 +181,6 @@ double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
   return tr.eval(plan.root, nullptr);
 }
 
-PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
-                       const ThresholdEnv& thresholds) {
-  INCFLAT_CHECK(!plan.legacy_fallback,
-                "plan_signature on a legacy-fallback plan");
-  PathSig sig(plan.guards.size());
-  // Structural descent only: kernels are skipped, so this never prices
-  // anything and costs O(nodes-on-path).
-  const std::function<void(int)> walk = [&](int id) {
-    const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
-    switch (n.kind) {
-      case PlanNode::Kind::Block:
-        for (const PlanNode::Step& s : n.steps) {
-          if (!s.is_kernel) walk(s.index);
-        }
-        return;
-      case PlanNode::Kind::Guard: {
-        const GuardInfo& g = plan.guards[static_cast<size_t>(n.guard)];
-        const bool taken = cache.guard_taken(n.guard, thresholds.get(g.threshold));
-        sig.set(n.guard, taken);
-        walk(taken ? n.then_node : n.else_node);
-        return;
-      }
-      case PlanNode::Kind::DataCond:
-        // Both branches contribute to the cost (worse-of-both), so both
-        // branches' guard decisions are part of the signature.
-        walk(n.then_node);
-        walk(n.else_node);
-        return;
-      case PlanNode::Kind::Scale:
-        walk(n.child);
-        return;
-    }
-  };
-  walk(plan.root);
-  return sig;
-}
-
 std::vector<LaunchInfo> plan_launch_schedule(const KernelPlan& plan,
                                              const PlanDatasetCache& cache,
                                              const ThresholdEnv& thresholds) {

@@ -72,9 +72,11 @@ struct PlanNode {
 };
 
 /// Path signature: for every guard node, whether it was visited and which
-/// branch it took — two bits per guard, packed.  Replaces the autotuner's
-/// string-concatenated signature keys: equal signatures select the same
-/// code versions, hence cost the same (paper Sec. 4.2 dedup).
+/// branch it took — two bits per guard, packed (bit 2g: visited, bit 2g+1:
+/// taken).  Equal signatures select the same code versions, hence cost the
+/// same (paper Sec. 4.2 dedup): the autotuner's dedup key is one PathSig
+/// per training dataset, concatenated, and its slot-indexed descent
+/// (src/autotune/) writes exactly the bits plan_cost records here.
 struct PathSig {
   std::vector<uint64_t> bits;
 
@@ -180,14 +182,6 @@ RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
 /// minus the kernel/guard report vectors.
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
                  const ThresholdEnv& thresholds, PathSig* sig = nullptr);
-
-/// Guard-path signature alone: which guards an assignment reaches and which
-/// branches they take, without pricing a single kernel.  This is the
-/// autotuner's dedup key — equal signatures select identical code versions
-/// and therefore cost the same (Sec. 4.2), so the cost evaluation can be
-/// skipped entirely.  Not available for legacy_fallback plans.
-PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
-                       const ThresholdEnv& thresholds);
 
 /// One entry of a run's kernel-launch schedule: a kernel step the estimate
 /// prices under a concrete threshold assignment, annotated with the guard

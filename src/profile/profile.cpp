@@ -61,9 +61,9 @@ void record_run(ExecProfile& p, const KernelPlan& plan,
                 const ThresholdEnv& thresholds) {
   INCFLAT_CHECK(!plan.legacy_fallback, "record_run on a legacy-fallback plan");
   check_profile(p, plan);
-  // Structural descent mirroring plan_signature: Guard nodes record their
-  // decision and descend the taken branch; DataCond evaluates (and hence
-  // records) both arms, just like the estimate.
+  // Structural descent over the guards a PathSig records: Guard nodes
+  // record their decision and descend the taken branch; DataCond evaluates
+  // (and hence records) both arms, just like the estimate.
   const std::function<void(int)> walk = [&](int id) {
     const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
     switch (n.kind) {

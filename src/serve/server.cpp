@@ -709,7 +709,7 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   TuningReport rep;
   {
     trace::Span span("serve.tune", "serve");
-    rep = autotune(entry->dev, entry->compiled.flat.program,
+    rep = autotune(entry->dev, *entry->compiled.plan,
                    entry->compiled.flat.thresholds, train, topts);
   }
 

@@ -1,7 +1,7 @@
 // A small std::thread worker pool for fanning independent work items.
 //
-// The autotuner uses it to warm per-dataset plan caches and to price
-// exhaustive-search candidate batches concurrently.  Work items must be
+// The exhaustive autotuner uses it to compute dedup keys and to price
+// candidate batches concurrently.  Work items must be
 // independent; determinism is preserved by keeping all result aggregation
 // in the caller, in item order, after run() returns.
 //

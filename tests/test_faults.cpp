@@ -667,6 +667,55 @@ TEST(Journal, InterleavedAppendersNeverTearLines) {
   std::remove(path.c_str());
 }
 
+// tests/data/locvolcalib_vega64.journal was written by the name-keyed tuner
+// that preceded the slot-indexed one: LocVolCalib (incremental) on vega64,
+// noise 0.05, failure rate 0.05, every other option at its default.  It is
+// cut after 33 of the search's 66 evaluations, with a torn final line.
+// Resuming it replays every kept entry only if each key hash still matches
+// (the key bytes are unchanged), and must then finish to the uninterrupted
+// report bit for bit.
+TEST(Journal, ResumesAJournalFromTheNameKeyedTuner) {
+  const Benchmark b = get_benchmark("LocVolCalib");
+  const Compiled c = compile(b.program, FlattenMode::Incremental);
+  const DeviceProfile dev = device_vega64();
+  const auto train = training_sets(b);
+  const std::string path = "/tmp/incflat_test_fixture_resume.journal";
+  {
+    std::ifstream in(std::string(INCFLAT_TEST_DATA_DIR) +
+                         "/locvolcalib_vega64.journal",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << in.rdbuf();
+  }
+
+  TunerOptions topts;
+  topts.noise = 0.05;
+  topts.failure_rate = 0.05;
+  const TuningReport full =
+      autotune(dev, *c.plan, c.flat.thresholds, train, topts);
+  // The uninterrupted search the fixture was cut from.
+  EXPECT_EQ(full.evaluations, 66);
+  EXPECT_EQ(full.best_cost_us, 0x1.9471cb5c8933p+13);
+  EXPECT_EQ(full.default_cost_us, 0x1.5459a2ea3d5d2p+16);
+
+  TunerOptions ropts = topts;
+  ropts.journal = path;
+  ropts.resume = true;
+  const TuningReport resumed =
+      autotune(dev, *c.plan, c.flat.thresholds, train, ropts);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(resumed.journal_replayed, 33);
+  EXPECT_EQ(resumed.best.values, full.best.values);
+  EXPECT_EQ(resumed.best_cost_us, full.best_cost_us);
+  EXPECT_EQ(resumed.default_cost_us, full.default_cost_us);
+  EXPECT_EQ(resumed.trials, full.trials);
+  EXPECT_EQ(resumed.evaluations, full.evaluations);
+  EXPECT_EQ(resumed.dedup_hits, full.dedup_hits);
+  EXPECT_EQ(resumed.infeasible, full.infeasible);
+}
+
 TEST(Journal, ResumeRefusesAMismatchedSearch) {
   const Benchmark b = bench_matmul();
   const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);

@@ -180,8 +180,8 @@ TEST(PlanLayer, SignatureDedupIsSound) {
     int collisions = 0;
     for (int i = 0; i < 200; ++i) {
       const ThresholdEnv thr = random_thresholds(inc.thresholds, rng);
-      const PathSig sig = plan_signature(plan, cache, thr);
-      const double c = plan_cost(plan, cache, thr);
+      PathSig sig(plan.guards.size());
+      const double c = plan_cost(plan, cache, thr, &sig);
       auto [it, fresh] = seen.emplace(sig.bits, c);
       if (!fresh) {
         ++collisions;
@@ -192,40 +192,68 @@ TEST(PlanLayer, SignatureDedupIsSound) {
   }
 }
 
+void expect_same_report(const TuningReport& plan, const TuningReport& walk,
+                        const std::string& ctx) {
+  EXPECT_TRUE(plan.used_plan) << ctx;
+  EXPECT_FALSE(walk.used_plan) << ctx;
+  EXPECT_EQ(plan.best.values, walk.best.values) << ctx;
+  EXPECT_EQ(plan.best.default_threshold, walk.best.default_threshold) << ctx;
+  EXPECT_EQ(plan.best_cost_us, walk.best_cost_us) << ctx;
+  EXPECT_EQ(plan.default_cost_us, walk.default_cost_us) << ctx;
+  EXPECT_EQ(plan.trials, walk.trials) << ctx;
+  EXPECT_EQ(plan.evaluations, walk.evaluations) << ctx;
+  EXPECT_EQ(plan.dedup_hits, walk.dedup_hits) << ctx;
+  EXPECT_EQ(plan.infeasible, walk.infeasible) << ctx;
+  EXPECT_EQ(plan.journal_replayed, walk.journal_replayed) << ctx;
+  EXPECT_EQ(plan.early_stopped, walk.early_stopped) << ctx;
+  EXPECT_EQ(plan.profile_seeded, walk.profile_seeded) << ctx;
+  EXPECT_EQ(plan.cold_pruned, walk.cold_pruned) << ctx;
+}
+
 // The plan-evaluating tuner and the legacy IR-walking tuner are the same
-// search over the same costs, so they must return identical reports.
+// search over the same costs, so they must return identical reports: every
+// benchmark, both devices, several search seeds, exact and fault-injected
+// measurement (noise, failures and a candidate timeout), stochastic and
+// exhaustive.  The plan side tunes on the compiled KernelPlan; the walker
+// side takes the program.
 TEST(PlanLayer, TunerEquivalentToWalkerTuner) {
-  for (const char* name : {"matmul", "LocVolCalib"}) {
+  for (const std::string& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const KernelPlan plan = build_kernel_plan(inc.program);
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
     for (const auto& dev : {device_k40(), device_vega64()}) {
-      TunerOptions plan_opts;
-      plan_opts.max_trials = 120;
-      TunerOptions walk_opts = plan_opts;
+      for (int s = 0; s < 3; ++s) {
+        for (const bool faulty : {false, true}) {
+          TunerOptions plan_opts;
+          plan_opts.max_trials = 120;
+          plan_opts.seed = 0xf00dcafe + static_cast<uint64_t>(s);
+          if (faulty) {
+            plan_opts.noise = 0.1;
+            plan_opts.failure_rate = 0.2;
+            plan_opts.measure_k = 3;
+            plan_opts.measure_seed = 0x5eed + static_cast<uint64_t>(s);
+            plan_opts.candidate_timeout_us = 10000;
+          }
+          TunerOptions walk_opts = plan_opts;
+          walk_opts.use_plan = false;
+          const std::string ctx = name + "/" + dev.name + " seed " +
+                                  std::to_string(s) +
+                                  (faulty ? " faulty" : " exact");
+          expect_same_report(
+              autotune(dev, plan, inc.thresholds, train, plan_opts),
+              autotune(dev, inc.program, inc.thresholds, train, walk_opts),
+              ctx);
+        }
+      }
+      TunerOptions walk_opts;
       walk_opts.use_plan = false;
-      const TuningReport pr =
-          autotune(dev, inc.program, inc.thresholds, train, plan_opts);
-      const TuningReport wr =
-          autotune(dev, inc.program, inc.thresholds, train, walk_opts);
-      const std::string ctx = std::string(name) + "/" + dev.name;
-      EXPECT_TRUE(pr.used_plan) << ctx;
-      EXPECT_FALSE(wr.used_plan) << ctx;
-      EXPECT_EQ(pr.best.values, wr.best.values) << ctx;
-      EXPECT_EQ(pr.best_cost_us, wr.best_cost_us) << ctx;
-      EXPECT_EQ(pr.default_cost_us, wr.default_cost_us) << ctx;
-      EXPECT_EQ(pr.trials, wr.trials) << ctx;
-
-      const TuningReport pe = exhaustive_tune(dev, inc.program, inc.thresholds,
-                                              train, int64_t{1} << 15,
-                                              plan_opts);
-      const TuningReport we = exhaustive_tune(dev, inc.program, inc.thresholds,
-                                              train, int64_t{1} << 15,
-                                              walk_opts);
-      EXPECT_EQ(pe.best.values, we.best.values) << ctx;
-      EXPECT_EQ(pe.best_cost_us, we.best_cost_us) << ctx;
-      EXPECT_EQ(pe.trials, we.trials) << ctx;
+      expect_same_report(
+          exhaustive_tune(dev, plan, inc.thresholds, train),
+          exhaustive_tune(dev, inc.program, inc.thresholds, train,
+                          int64_t{1} << 15, walk_opts),
+          name + "/" + dev.name + " exhaustive");
     }
   }
 }

@@ -455,11 +455,15 @@ int run(const Options& o) {
     if (seeded_prof && seeded_prof->device == dev.name) {
       topts.profile = &*seeded_prof;
     }
-    TuningReport rep =
-        o.exhaustive
-            ? exhaustive_tune(dev, fr.program, fr.thresholds, train,
-                              topts.default_threshold, topts)
-            : autotune(dev, fr.program, fr.thresholds, train, topts);
+    // Tune on the compile's own plan, so a run builds it once; a pass list
+    // without plan-build tunes from the program.
+    const auto tune = [&](const auto& target) {
+      return o.exhaustive
+                 ? exhaustive_tune(dev, target, fr.thresholds, train,
+                                   topts.default_threshold, topts)
+                 : autotune(dev, target, fr.thresholds, train, topts);
+    };
+    TuningReport rep = c.plan ? tune(*c.plan) : tune(fr.program);
     thresholds = rep.best;
     std::cout << "tuned on " << train.size() << " datasets via "
               << (rep.used_plan ? "kernel plan" : "IR walker") << ": "
