@@ -1,12 +1,12 @@
-// Plan layer vs legacy IR walker: autotuner evaluation throughput.
+// Plan layer vs reference IR walker: cost-evaluation throughput.
 //
-// For LocVolCalib and matmul, runs the stochastic autotuner twice — once
-// evaluating candidates against the compile-once KernelPlan (the default)
-// and once against the legacy per-candidate IR walk (TunerOptions::use_plan
-// = false) — and additionally times raw cost evaluations of both back ends
-// in a tight loop.  Since plan costs are bit-identical to walker costs, the
-// two tuner runs perform the same evaluations and find the same optimum;
-// only the time differs.  Results go to BENCH_plan.json.
+// For LocVolCalib and matmul, times the stochastic autotuner on the
+// compile-once KernelPlan, and raw cost evaluations in a tight loop through
+// both back ends: plan_cost over per-dataset caches, and tuning_cost, the
+// same weighted sum priced by the IR walker (gpusim::estimate_run).  Costs
+// must agree bit for bit: the tuner's reported best and default costs equal
+// tuning_cost under the same assignments, and so does the raw plan sum.
+// Results go to BENCH_plan.json.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -31,10 +31,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct Row {
   std::string name;
   double plan_tune_s = 0;
-  double walk_tune_s = 0;
-  int evaluations = 0;  // identical for both paths (same dedup behaviour)
+  int evaluations = 0;
   double plan_evals_per_s = 0;
-  double walk_evals_per_s = 0;
   double raw_plan_evals_per_s = 0;
   double raw_walk_evals_per_s = 0;
   bool costs_match = false;
@@ -45,40 +43,33 @@ Row measure(const std::string& name) {
   const DeviceProfile dev = device_k40();
   const Compiled compiled = compile(b.program, FlattenMode::Incremental);
   const FlattenResult& inc = compiled.flat;
+  const KernelPlan& plan = *compiled.plan;
   std::vector<TuningDataset> train;
   for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-
-  TunerOptions plan_opts;  // defaults: use_plan = true
-  TunerOptions walk_opts;
-  walk_opts.use_plan = false;
 
   Row r;
   r.name = name;
 
   auto t0 = std::chrono::steady_clock::now();
-  TuningReport plan_rep = autotune(dev, inc.program, inc.thresholds, train,
-                                   plan_opts);
+  const TuningReport rep = autotune(dev, plan, inc.thresholds, train);
   r.plan_tune_s = seconds_since(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  TuningReport walk_rep = autotune(dev, inc.program, inc.thresholds, train,
-                                   walk_opts);
-  r.walk_tune_s = seconds_since(t0);
-
-  // Same costs => same search trajectory => same evaluation counts.
-  r.costs_match = plan_rep.best_cost_us == walk_rep.best_cost_us &&
-                  plan_rep.evaluations == walk_rep.evaluations &&
-                  plan_rep.used_plan && !walk_rep.used_plan;
-  r.evaluations = plan_rep.evaluations;
+  r.evaluations = rep.evaluations;
   r.plan_evals_per_s = r.evaluations / r.plan_tune_s;
-  r.walk_evals_per_s = r.evaluations / r.walk_tune_s;
 
   // Raw back-to-back cost evaluations, outside the tuner (no dedup, no
   // search overhead): the per-candidate cost of each back end.
-  const KernelPlan& plan = *compiled.plan;
   std::vector<PlanDatasetCache> caches;
   for (const auto& d : train) caches.emplace_back(plan, dev, d.sizes);
   const ThresholdEnv thr;
+  double raw_plan = 0;
+  for (size_t j = 0; j < caches.size(); ++j) {
+    raw_plan += train[j].weight * plan_cost(plan, caches[j], thr);
+  }
+  r.costs_match =
+      rep.best_cost_us == tuning_cost(dev, inc.program, train, rep.best) &&
+      rep.default_cost_us == tuning_cost(dev, inc.program, train, {}) &&
+      raw_plan == tuning_cost(dev, inc.program, train, thr);
+
   const int raw_iters = 2000;
   t0 = std::chrono::steady_clock::now();
   double sink = 0;
@@ -108,15 +99,11 @@ int run() {
                "===\n";
   for (const std::string name : {"LocVolCalib", "matmul"}) {
     const Row r = measure(name);
-    const double tuner_speedup = r.walk_tune_s / r.plan_tune_s;
     const double raw_speedup = r.raw_plan_evals_per_s / r.raw_walk_evals_per_s;
     std::cout << "\n" << r.name << ":\n"
-              << "  tuner (" << r.evaluations << " evaluations): plan "
+              << "  tuner (" << r.evaluations << " evaluations): "
               << fmt_double(r.plan_tune_s * 1e3, 1) << " ms ("
-              << fmt_double(r.plan_evals_per_s, 0) << " evals/s), walker "
-              << fmt_double(r.walk_tune_s * 1e3, 1) << " ms ("
-              << fmt_double(r.walk_evals_per_s, 0) << " evals/s) -> "
-              << fmt_double(tuner_speedup, 1) << "x\n"
+              << fmt_double(r.plan_evals_per_s, 0) << " evals/s)\n"
               << "  raw cost eval: plan "
               << fmt_double(r.raw_plan_evals_per_s, 0) << "/s, walker "
               << fmt_double(r.raw_walk_evals_per_s, 0) << "/s -> "
@@ -129,12 +116,9 @@ int run() {
                  .set("benchmark", r.name)
                  .set("evaluations", r.evaluations)
                  .set("plan_tune_s", r.plan_tune_s)
-                 .set("walk_tune_s", r.walk_tune_s)
                  .set("plan_evals_per_s", r.plan_evals_per_s)
-                 .set("walk_evals_per_s", r.walk_evals_per_s)
                  .set("raw_plan_evals_per_s", r.raw_plan_evals_per_s)
                  .set("raw_walk_evals_per_s", r.raw_walk_evals_per_s)
-                 .set("tuner_speedup", tuner_speedup)
                  .set("raw_eval_speedup", raw_speedup)
                  .set("costs_match", r.costs_match));
   }

@@ -77,7 +77,7 @@ inline const bool trace_session_init = (trace_session(), true);
 /// A compiled benchmark with tuned thresholds per device.  Each flattening
 /// mode is a full exec::compile() product (target program + thresholds +
 /// compile-once kernel plan); all pricing below goes through the plans
-/// (bit-identical to the legacy IR walker).
+/// (bit-identical to the reference IR walker).
 struct TunedBench {
   Benchmark bench;
   Compiled moderate;

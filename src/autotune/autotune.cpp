@@ -176,74 +176,18 @@ bool session_needed(const TunerOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy evaluation: IR walk per candidate, string dedup keys from the
-// threshold registry.  Kept as the debug oracle behind TunerOptions::use_plan
-// and as the fallback for programs the plan builder cannot lower.
-// ---------------------------------------------------------------------------
-
-/// Dedup key: the concatenated path signatures of all datasets.  Two
-/// assignments with equal keys drive every dataset through the same code
-/// versions, hence cost the same (paper Sec. 4.2).
-std::string signature_key(const ThresholdRegistry& reg,
-                          const std::vector<TuningDataset>& datasets,
-                          const std::map<std::string, int64_t>& assignment,
-                          int64_t default_value, int64_t max_group) {
-  std::string key;
-  for (const auto& d : datasets) {
-    for (bool b :
-         reg.path_signature(d.sizes, assignment, default_value, max_group)) {
-      key += b ? '1' : '0';
-    }
-    key += '|';
-  }
-  return key;
-}
-
-struct WalkMemoizer {
-  const DeviceProfile& dev;
-  const Program& p;
-  const ThresholdRegistry& reg;
-  const std::vector<TuningDataset>& datasets;
-  const std::vector<std::string>& names;
-  int64_t default_value;
-  MeasureSession* session = nullptr;
-  std::map<std::string, double> cache;
-  int evaluations = 0;
-  int dedup_hits = 0;
-
-  double cost(const Candidate& cand) {
-    const ThresholdEnv env = to_env(names, cand, default_value);
-    const std::string key = signature_key(reg, datasets, env.values,
-                                          default_value, dev.max_group_size);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      ++dedup_hits;
-      return it->second;
-    }
-    ++evaluations;
-    const auto true_cost = [&] { return tuning_cost(dev, p, datasets, env); };
-    const double c =
-        session ? session->evaluate(journal_hash(key.data(), key.size()),
-                                    true_cost)
-                : true_cost();
-    cache.emplace(key, c);
-    return c;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Plan-based evaluation, indexed by threshold slot.  Once per search: each
-// dataset's sizes are swept through the cost arena, its guard operands (Par
-// value, fit failure) are read off, and every guard is mapped to the slot
-// of its threshold.  A candidate's dedup key is then a structural descent
+// Evaluation on the kernel plan, indexed by threshold slot.  Once per
+// search: each dataset's sizes are swept through the cost arena, its guard
+// operands (Par value, fit failure) are read off, and every guard is mapped
+// to the slot of its threshold.  A candidate's dedup key is then a structural descent
 // comparing int64 operands against int64 slot values, written into a
 // caller-owned buffer: no name lookups, no ThresholdEnv, no allocation.
 //
 // The key layout is part of the journal format and must not change: per
 // dataset, in order, the guard-path PathSig words (two bits per guard);
 // journals hash exactly these bytes (tests/data/ pins one).  A dedup miss
-// is priced through plan_cost under a ThresholdEnv, bit-identical to the
-// legacy walker.
+// is priced through plan_cost under a ThresholdEnv, bit-identical to
+// tuning_cost.
 // ---------------------------------------------------------------------------
 
 class PlanSearch {
@@ -296,7 +240,7 @@ class PlanSearch {
 
   /// Weighted-sum cost; the same accumulation order as tuning_cost, and
   /// plan_cost is bit-identical to estimate_run().time_us, so this equals
-  /// the legacy cost exactly.
+  /// tuning_cost exactly.
   double cost(const ThresholdEnv& env) const {
     double total = 0;
     for (size_t i = 0; i < caches_.size(); ++i) {
@@ -388,11 +332,11 @@ struct PlanMemoizer {
 };
 
 // ---------------------------------------------------------------------------
-// Search (shared between both evaluation back ends).
+// Search.
 // ---------------------------------------------------------------------------
 
-template <class Memo>
-void stochastic_search(Memo& memo, const std::vector<std::string>& names,
+void stochastic_search(PlanMemoizer& memo,
+                       const std::vector<std::string>& names,
                        const TunerOptions& opts, TuningReport& rep) {
   // The wall-clock budget is checked between trials: the search never
   // aborts mid-measurement, it stops gracefully and keeps the incumbent.
@@ -455,8 +399,8 @@ void stochastic_search(Memo& memo, const std::vector<std::string>& names,
   rep.dedup_hits = memo.dedup_hits;
 }
 
-/// Every full assignment of `cands` values to the slots, in the legacy
-/// recursive enumeration order (the last slot varies fastest).
+/// Every full assignment of `cands` values to the slots, in recursive
+/// enumeration order (the last slot varies fastest).
 std::vector<Candidate> enumerate_assignments(
     const std::vector<std::vector<int64_t>>& cands, int64_t default_value) {
   std::vector<Candidate> all;
@@ -485,22 +429,14 @@ void trace_report(const TuningReport& rep) {
   trace::count("tuner.candidates", rep.trials);
   trace::count("tuner.evaluations", rep.evaluations);
   trace::count("tuner.dedup_hits", rep.dedup_hits);
-  if (rep.used_plan) trace::count("tuner.plan_searches");
 }
 
-/// The plan a search evaluates on, or null when the legacy walker prices
-/// candidates (use_plan off, no plan, or a plan outside the builder's
-/// fragment).
-const KernelPlan* usable_plan(const KernelPlan* plan,
-                              const TunerOptions& opts) {
-  return opts.use_plan && plan && !plan->legacy_fallback ? plan : nullptr;
-}
+}  // namespace
 
-TuningReport autotune_impl(const DeviceProfile& dev, const Program& p,
-                           const KernelPlan* plan,
-                           const ThresholdRegistry& reg,
-                           const std::vector<TuningDataset>& datasets,
-                           const TunerOptions& opts) {
+TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
+                      const ThresholdRegistry& reg,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts) {
   trace::Span span("tune.stochastic");
   TuningReport rep;
   std::vector<std::string> names;
@@ -546,16 +482,14 @@ TuningReport autotune_impl(const DeviceProfile& dev, const Program& p,
     if (trace::enabled()) trace::count("tuner.profile_seeded");
   }
 
-  // Robust-measurement session (noise, failures, timeout, journal).  Held
-  // outside both back ends so a resumed journal replays identically
-  // whichever evaluation path the program selects.
+  // Robust-measurement session (noise, failures, timeout, journal).
   std::unique_ptr<MeasureSession> session;
   std::unique_ptr<TuneJournal> journal;
   if (session_needed(opts)) {
     session = std::make_unique<MeasureSession>(opts, &rep);
     if (!opts.journal.empty()) {
       JournalMeta meta;
-      meta.program = p.name;
+      meta.program = plan.program.name;
       meta.device = dev.name;
       meta.search_seed = opts.seed;
       meta.max_trials = opts.max_trials;
@@ -569,23 +503,21 @@ TuningReport autotune_impl(const DeviceProfile& dev, const Program& p,
     }
   }
 
-  if (const KernelPlan* kp = usable_plan(plan, opts)) {
-    const PlanSearch ev(*kp, dev, datasets, names, opts.default_threshold);
-    PlanMemoizer memo(ev, names, session.get());
-    stochastic_search(memo, names, eff, rep);
-    rep.used_plan = true;
-    trace_report(rep);
-    return rep;
-  }
-  WalkMemoizer memo{dev,   p,  reg, datasets, names, opts.default_threshold,
-                    session.get(), {}, 0,   0};
+  const PlanSearch ev(plan, dev, datasets, names, opts.default_threshold);
+  PlanMemoizer memo(ev, names, session.get());
   stochastic_search(memo, names, eff, rep);
   trace_report(rep);
   return rep;
 }
 
-TuningReport exhaustive_impl(const DeviceProfile& dev, const Program& p,
-                             const KernelPlan* plan,
+TuningReport autotune(const DeviceProfile& dev, const Program& p,
+                      const ThresholdRegistry& reg,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts) {
+  return autotune(dev, build_kernel_plan(p), reg, datasets, opts);
+}
+
+TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
                              int64_t default_threshold,
@@ -609,93 +541,77 @@ TuningReport exhaustive_impl(const DeviceProfile& dev, const Program& p,
       enumerate_assignments(cands, default_threshold);
   const Candidate defaults(names.size(), default_threshold);
 
-  if (const KernelPlan* kp = usable_plan(plan, opts)) {
-    WorkerPool pool(opts.workers);
-    const PlanSearch ev(*kp, dev, datasets, names, default_threshold);
-    rep.used_plan = true;
-    const int n = static_cast<int>(all.size());
+  WorkerPool pool(opts.workers);
+  const PlanSearch ev(plan, dev, datasets, names, default_threshold);
+  const int n = static_cast<int>(all.size());
 
-    // Phase 1: dedup keys for every candidate, concurrently.
-    PlanKey default_key(ev.key_words());
-    ev.key(defaults, default_key.data());
-    std::vector<PlanKey> keys(all.size(), PlanKey(ev.key_words()));
-    pool.run(n, [&](int i) {
-      ev.key(all[static_cast<size_t>(i)], keys[static_cast<size_t>(i)].data());
-    });
+  // Phase 1: dedup keys for every candidate, concurrently.
+  PlanKey default_key(ev.key_words());
+  ev.key(defaults, default_key.data());
+  std::vector<PlanKey> keys(all.size(), PlanKey(ev.key_words()));
+  pool.run(n, [&](int i) {
+    ev.key(all[static_cast<size_t>(i)], keys[static_cast<size_t>(i)].data());
+  });
 
-    // Phase 2: one representative per distinct key (-1 = default env).
-    std::map<PlanKey, int> rep_ix;
-    rep_ix.emplace(default_key, -1);
-    for (int i = 0; i < n; ++i) {
-      rep_ix.emplace(keys[static_cast<size_t>(i)], i);
-    }
-
-    // Phase 3: price only the representatives, concurrently.
-    std::vector<std::pair<const PlanKey*, int>> uniq;
-    uniq.reserve(rep_ix.size());
-    for (const auto& [k, ix] : rep_ix) uniq.emplace_back(&k, ix);
-    std::vector<double> ucost(uniq.size());
-    pool.run(static_cast<int>(uniq.size()), [&](int u) {
-      const int ix = uniq[static_cast<size_t>(u)].second;
-      ucost[static_cast<size_t>(u)] = ev.cost(
-          to_env(names, ix < 0 ? defaults : all[static_cast<size_t>(ix)],
-                 default_threshold));
-    });
-    std::map<PlanKey, double> cost_of;
-    for (size_t u = 0; u < uniq.size(); ++u) {
-      cost_of.emplace(*uniq[u].first, ucost[u]);
-    }
-
-    // Phase 4: deterministic sequential replay of the legacy scan order,
-    // with the memoizer's counter semantics.
-    std::set<PlanKey> seen;
-    auto memo_cost = [&](const PlanKey& k) {
-      if (seen.insert(k).second) {
-        ++rep.evaluations;
-      } else {
-        ++rep.dedup_hits;
-      }
-      return cost_of.at(k);
-    };
-    rep.default_cost_us = memo_cost(default_key);
-    double best = memo_cost(default_key);
-    const Candidate* best_assign = &defaults;
-    for (int i = 0; i < n; ++i) {
-      ++rep.trials;
-      const double c = memo_cost(keys[static_cast<size_t>(i)]);
-      if (c < best) {
-        best = c;
-        best_assign = &all[static_cast<size_t>(i)];
-      }
-    }
-    rep.best = to_env(names, *best_assign, default_threshold);
-    rep.best_cost_us = best;
-    trace_report(rep);
-    return rep;
+  // Phase 2: one representative per distinct key (-1 = default env).
+  std::map<PlanKey, int> rep_ix;
+  rep_ix.emplace(default_key, -1);
+  for (int i = 0; i < n; ++i) {
+    rep_ix.emplace(keys[static_cast<size_t>(i)], i);
   }
 
-  WalkMemoizer memo{dev,     p,  reg, datasets, names, default_threshold,
-                    nullptr, {}, 0,   0};
-  rep.default_cost_us = memo.cost(defaults);
+  // Phase 3: price only the representatives, concurrently.
+  std::vector<std::pair<const PlanKey*, int>> uniq;
+  uniq.reserve(rep_ix.size());
+  for (const auto& [k, ix] : rep_ix) uniq.emplace_back(&k, ix);
+  std::vector<double> ucost(uniq.size());
+  pool.run(static_cast<int>(uniq.size()), [&](int u) {
+    const int ix = uniq[static_cast<size_t>(u)].second;
+    ucost[static_cast<size_t>(u)] = ev.cost(
+        to_env(names, ix < 0 ? defaults : all[static_cast<size_t>(ix)],
+               default_threshold));
+  });
+  std::map<PlanKey, double> cost_of;
+  for (size_t u = 0; u < uniq.size(); ++u) {
+    cost_of.emplace(*uniq[u].first, ucost[u]);
+  }
+
+  // Phase 4: deterministic sequential replay of the enumeration order,
+  // with the memoizer's counter semantics.
+  std::set<PlanKey> seen;
+  auto memo_cost = [&](const PlanKey& k) {
+    if (seen.insert(k).second) {
+      ++rep.evaluations;
+    } else {
+      ++rep.dedup_hits;
+    }
+    return cost_of.at(k);
+  };
+  rep.default_cost_us = memo_cost(default_key);
+  double best = memo_cost(default_key);
   const Candidate* best_assign = &defaults;
-  double best = memo.cost(defaults);
-  for (const Candidate& a : all) {
+  for (int i = 0; i < n; ++i) {
     ++rep.trials;
-    const double c = memo.cost(a);
+    const double c = memo_cost(keys[static_cast<size_t>(i)]);
     if (c < best) {
       best = c;
-      best_assign = &a;
+      best_assign = &all[static_cast<size_t>(i)];
     }
   }
   rep.best = to_env(names, *best_assign, default_threshold);
   rep.best_cost_us = best;
-  rep.evaluations = memo.evaluations;
-  rep.dedup_hits = memo.dedup_hits;
   trace_report(rep);
   return rep;
 }
 
-}  // namespace
+TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
+                             const ThresholdRegistry& reg,
+                             const std::vector<TuningDataset>& datasets,
+                             int64_t default_threshold,
+                             const TunerOptions& opts) {
+  return exhaustive_tune(dev, build_kernel_plan(p), reg, datasets,
+                         default_threshold, opts);
+}
 
 double tuning_cost(const DeviceProfile& dev, const Program& p,
                    const std::vector<TuningDataset>& datasets,
@@ -705,45 +621,6 @@ double tuning_cost(const DeviceProfile& dev, const Program& p,
     total += d.weight * estimate_run(dev, p, d.sizes, thresholds).time_us;
   }
   return total;
-}
-
-TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
-                      const ThresholdRegistry& reg,
-                      const std::vector<TuningDataset>& datasets,
-                      const TunerOptions& opts) {
-  return autotune_impl(dev, plan.program, &plan, reg, datasets, opts);
-}
-
-TuningReport autotune(const DeviceProfile& dev, const Program& p,
-                      const ThresholdRegistry& reg,
-                      const std::vector<TuningDataset>& datasets,
-                      const TunerOptions& opts) {
-  if (!opts.use_plan) {
-    return autotune_impl(dev, p, nullptr, reg, datasets, opts);
-  }
-  return autotune(dev, build_kernel_plan(p), reg, datasets, opts);
-}
-
-TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
-                             const ThresholdRegistry& reg,
-                             const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold,
-                             const TunerOptions& opts) {
-  return exhaustive_impl(dev, plan.program, &plan, reg, datasets,
-                         default_threshold, opts);
-}
-
-TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
-                             const ThresholdRegistry& reg,
-                             const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold,
-                             const TunerOptions& opts) {
-  if (!opts.use_plan) {
-    return exhaustive_impl(dev, p, nullptr, reg, datasets, default_threshold,
-                           opts);
-  }
-  return exhaustive_tune(dev, build_kernel_plan(p), reg, datasets,
-                         default_threshold, opts);
 }
 
 }  // namespace incflat

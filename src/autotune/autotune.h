@@ -13,10 +13,9 @@
 // PlanDatasetCache, and every threshold gets an integer slot.  Guards are
 // mapped to slots and each dataset's guard operands are read once, so a
 // candidate's dedup key (the guard-path bitsets of all datasets) is one
-// allocation-free descent; only a dedup miss prices the tree.  The legacy
-// IR-walking path is kept behind TunerOptions::use_plan as a debug oracle
-// (and as the automatic fallback for programs outside the plan builder's
-// fragment).
+// allocation-free descent; only a dedup miss prices the tree.  The plan is
+// the only evaluation path; tuning_cost, the same weighted sum over the
+// reference IR walker, is what the reported costs equal bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +47,6 @@ struct TunerOptions {
   int log2_min = 0;            // thresholds range over [2^min, 2^max]
   int log2_max = 31;
   int64_t default_threshold = int64_t{1} << 15;  // paper default
-
-  /// Evaluate candidates against the compile-once kernel plan (fast path).
-  /// false = price every candidate with the legacy IR walker; kept as a
-  /// debug oracle — results are bit-identical either way.
-  bool use_plan = true;
 
   /// Worker threads for exhaustive_tune's key and pricing batches; <= 0
   /// picks a small default from hardware_concurrency.  The stochastic
@@ -114,7 +108,6 @@ struct TuningReport {
   int trials = 0;             // assignments attempted
   int evaluations = 0;        // cost-model evaluations actually performed
   int dedup_hits = 0;         // assignments resolved from the branching tree
-  bool used_plan = false;     // evaluated via KernelPlan (not the IR walker)
   int infeasible = 0;         // evaluations timed out / failed every retry
   int journal_replayed = 0;   // evaluations answered from a resumed journal
   bool early_stopped = false; // wall-clock budget exhausted; best = incumbent
@@ -130,8 +123,8 @@ TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
                       const std::vector<TuningDataset>& datasets,
                       const TunerOptions& opts = {});
 
-/// Same, from the target program: builds its plan first (unless use_plan is
-/// off) and reports exactly what the plan overload does.
+/// Same, from the target program: builds its plan first and reports
+/// exactly what the plan overload does.
 TuningReport autotune(const DeviceProfile& dev, const Program& p,
                       const ThresholdRegistry& reg,
                       const std::vector<TuningDataset>& datasets,
@@ -155,8 +148,9 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
                              const TunerOptions& opts = {});
 
 /// The tuner's cost function: weighted sum over datasets of simulated
-/// runtime under the given assignment (always the legacy IR walker; the
-/// plan-based equivalent is plan_cost over per-dataset caches).
+/// runtime under the given assignment, priced by the reference IR walker
+/// (gpusim::estimate_run).  The tuner evaluates the same sum through
+/// plan_cost over per-dataset caches; both agree bit for bit.
 double tuning_cost(const DeviceProfile& dev, const Program& p,
                    const std::vector<TuningDataset>& datasets,
                    const ThresholdEnv& thresholds);

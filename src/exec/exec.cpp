@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/pass/pass.h"
+#include "src/support/error.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 
@@ -31,9 +32,19 @@ Compiled compile(const Program& src, FlattenMode mode,
   if (opts.passes.empty()) {
     pm = compile_pipeline(mode, opts.simplify);
   } else {
-    for (const auto& name : opts.passes) {
-      pm.add(name == "transform" ? mode_name(mode) : name);
+    // The plan prices Compiled::flat.program, so plan-build runs last: it
+    // is appended when omitted, and no pass may follow it.
+    const auto& names = opts.passes;
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (i > 0 && names[i - 1] == "plan-build") {
+        throw CompilerError("pass '" + names[i] +
+                            "' follows 'plan-build'; plan-build must be the "
+                            "last pass, or the plan prices a different "
+                            "program than the compile returns");
+      }
+      pm.add(names[i] == "transform" ? mode_name(mode) : names[i]);
     }
+    if (names.back() != "plan-build") pm.add("plan-build");
   }
 
   PipelineState st;
@@ -62,9 +73,7 @@ Compiled compile(const Program& src, FlattenMode mode,
 RunEstimate simulate(const DeviceProfile& dev, const Compiled& c,
                      const SizeEnv& sizes, const ThresholdEnv& thresholds) {
   trace::Span span("exec.simulate");
-  RunEstimate est = c.plan ? plan_estimate_run(*c.plan, dev, sizes, thresholds)
-                           : estimate_run(dev, c.flat.program, sizes,
-                                          thresholds);
+  RunEstimate est = plan_estimate_run(*c.plan, dev, sizes, thresholds);
   trace_estimate(est);
   return est;
 }

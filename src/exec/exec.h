@@ -18,7 +18,8 @@ namespace incflat {
 
 /// A flattened program bundled with its source, compilation mode and the
 /// compile-once kernel plan (decision tree + priced kernel table) that
-/// simulation and tuning evaluate instead of re-walking the IR.
+/// simulation and tuning evaluate instead of re-walking the IR.  compile()
+/// always sets `plan`; it is built from `flat.program`.
 struct Compiled {
   Program source;        // type-annotated source program
   FlattenResult flat;    // target program + threshold registry
@@ -33,9 +34,9 @@ struct Compiled {
 struct CompileOptions {
   FlattenOptions flatten;
   /// Pass names (see pass_names()) to run instead of the canned pipeline.
-  /// The name "transform" is an alias for the mode's transform pass.  If
-  /// "plan-build" is omitted, Compiled::plan stays null and simulate()
-  /// falls back to the legacy IR-walking estimator.
+  /// The name "transform" is an alias for the mode's transform pass.
+  /// "plan-build" is appended when omitted; a list naming another pass
+  /// after it is rejected with a CompilerError.
   std::vector<std::string> passes;
   /// Verify structural IR invariants after every pass (src/ir/verify.h).
   bool verify_each = false;
@@ -56,13 +57,13 @@ struct CompileOptions {
 
 /// Compile `src` (which must be type-annotated) under `mode`: run the pass
 /// pipeline, producing the flattened program, its thresholds and the
-/// KernelPlan.
+/// KernelPlan.  A program the plan builder cannot lower throws VerifyError
+/// (check "plan-unsupported").
 Compiled compile(const Program& src, FlattenMode mode,
                  const CompileOptions& opts = {});
 
 /// Price one run of the compiled program on `dev` for dataset `sizes`, via
-/// the kernel plan (bit-identical to the legacy estimate_run IR walk, which
-/// remains available directly as the debug oracle).
+/// the kernel plan (bit-identical to the reference estimate_run IR walk).
 RunEstimate simulate(const DeviceProfile& dev, const Compiled& c,
                      const SizeEnv& sizes,
                      const ThresholdEnv& thresholds = {});

@@ -49,33 +49,6 @@ double backoff_for(const RunPolicy& policy, int retry_number) {
   return std::min(b, policy.backoff_cap_us);
 }
 
-/// The launch schedule the run executes under `env`: from the plan tree
-/// when one is available, else one entry per priced kernel of the legacy
-/// walker's estimate, each carrying the estimate's full guard list as its
-/// path (the innermost taken guard is still a correct degradation target —
-/// the legacy report cannot attribute guards to kernels more precisely).
-std::vector<LaunchInfo> make_schedule(const DeviceProfile& dev,
-                                      const KernelPlan* plan,
-                                      const PlanDatasetCache* cache,
-                                      const Program& target,
-                                      const SizeEnv& sizes,
-                                      const ThresholdEnv& env) {
-  if (plan && cache && !plan->legacy_fallback) {
-    return plan_launch_schedule(*plan, *cache, env);
-  }
-  const RunEstimate est = estimate_run(dev, target, sizes, env);
-  std::vector<LaunchInfo> sched;
-  sched.reserve(est.kernels.size());
-  for (const KernelCost& k : est.kernels) {
-    LaunchInfo li;
-    li.what = k.what;
-    li.time_us = k.time_us;
-    li.guard_path = est.guards;
-    sched.push_back(std::move(li));
-  }
-  return sched;
-}
-
 /// How many launches may pass between CancelToken checks.  Checking every
 /// launch would put a clock read on the hot path; every 16th bounds the
 /// overshoot past a deadline to a handful of simulated kernels.
@@ -98,23 +71,19 @@ void mark_cancelled(RunOutcome& out, double wasted) {
   if (trace::enabled()) trace::count("exec.cancelled_runs");
 }
 
-RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
-                    const Program& target, const SizeEnv& sizes,
-                    const ThresholdEnv& thresholds, FaultPlan& faults,
-                    const RunPolicy& policy) {
+}  // namespace
+
+RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
+                           const SizeEnv& sizes,
+                           const ThresholdEnv& thresholds, FaultPlan& faults,
+                           const RunPolicy& policy) {
   trace::Span span("exec.run");
   RunOutcome out;
   out.thresholds = thresholds;
 
-  std::unique_ptr<PlanDatasetCache> cache;
-  if (plan && !plan->legacy_fallback) {
-    cache = std::make_unique<PlanDatasetCache>(*plan, dev, sizes);
-  }
-
+  const PlanDatasetCache cache(plan, dev, sizes);
   const auto final_estimate = [&]() {
-    return plan && cache && !plan->legacy_fallback
-               ? plan_estimate(*plan, *cache, out.thresholds)
-               : estimate_run(dev, target, sizes, out.thresholds);
+    return plan_estimate(plan, cache, out.thresholds);
   };
 
   double wasted = 0;  // failed attempts, backoffs, abandoned partial runs
@@ -156,8 +125,8 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
       out.estimate = final_estimate();
       return out;
     }
-    const std::vector<LaunchInfo> sched = make_schedule(
-        dev, plan, cache.get(), target, sizes, out.thresholds);
+    const std::vector<LaunchInfo> sched =
+        plan_launch_schedule(plan, cache, out.thresholds);
     double completed = 0;  // progress of this pass, wasted if it restarts
 
     for (const LaunchInfo& li : sched) {
@@ -234,8 +203,6 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
   return out;
 }
 
-}  // namespace
-
 RunPolicy parse_run_policy(const std::string& spec) {
   RunPolicy p;
   if (spec.empty() || spec == "default") return p;
@@ -293,16 +260,7 @@ RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy) {
-  return run_impl(dev, c.plan.get(), c.flat.program, sizes, thresholds,
-                  faults, policy);
-}
-
-RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
-                           const SizeEnv& sizes,
-                           const ThresholdEnv& thresholds, FaultPlan& faults,
-                           const RunPolicy& policy) {
-  return run_impl(dev, &plan, plan.program, sizes, thresholds, faults,
-                  policy);
+  return run_with_faults(dev, *c.plan, sizes, thresholds, faults, policy);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,13 +408,6 @@ TieredOutcome TieredRuntime::run(const SizeEnv& sizes,
   // time, and the token outlives the call by contract.
   policy_.run.cancel = cancel;
   TieredOutcome t;
-  if (plan_.legacy_fallback) {
-    t.run = run_with_faults(dev_, plan_, sizes, thresholds, faults,
-                            policy_.run);
-    ++stats_.tree_runs;
-    return t;
-  }
-
   SpecAttempt attempt;
   if (spec_) {
     std::string why;

@@ -5,8 +5,8 @@
 // threshold predicates — doubles as a graceful-degradation mechanism: when
 // the selected version cannot run (scratchpad allocation failure, repeated
 // launch faults, a kernel overrunning its timeout), a *sibling* version of
-// the same map nest still can.  run_with_faults executes a compiled
-// program's launch schedule against a FaultPlan under a RunPolicy:
+// the same map nest still can.  run_with_faults executes the kernel plan's
+// launch schedule against a FaultPlan under a RunPolicy:
 //
 //   * transient faults (launch-failed, launch-timeout, device-lost) are
 //     retried with capped exponential backoff;
@@ -173,19 +173,19 @@ struct RunOutcome {
   std::optional<Diagnostic> error;
 };
 
-/// Execute the compiled program's launch schedule on `dev` against `faults`
-/// under `policy`.  Never throws on injected faults — an unrecoverable run
-/// reports ok=false with a structured Diagnostic.  The FaultPlan advances
-/// monotonically across retries and restarts (one consultation per launch
-/// attempt), so a given plan yields one deterministic outcome.
-RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
+/// Execute the kernel plan's launch schedule (plan_launch_schedule) on
+/// `dev` against `faults` under `policy`.  Never throws on injected faults
+/// — an unrecoverable run reports ok=false with a structured Diagnostic.
+/// The FaultPlan advances monotonically across retries and restarts (one
+/// consultation per launch attempt), so a given plan yields one
+/// deterministic outcome.
+RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy = {});
 
-/// Same, over a bare kernel plan (bench harness entry point; uses the
-/// plan's embedded target program for the legacy-walker fallback).
-RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
+/// Same, over a compiled program's plan.
+RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy = {});

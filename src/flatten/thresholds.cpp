@@ -48,37 +48,6 @@ const ThresholdInfo& ThresholdRegistry::info(const std::string& name) const {
   return infos_[it->second];
 }
 
-std::vector<bool> ThresholdRegistry::path_signature(
-    const SizeEnv& sizes, const std::map<std::string, int64_t>& assignment,
-    int64_t default_value, int64_t max_group_size) const {
-  // A guard is *reachable* if every ancestor on its path takes the recorded
-  // branch under this assignment.  Unreachable guards contribute a fixed
-  // `false` so signatures stay comparable position-by-position.
-  std::map<std::string, bool> taken;
-  std::vector<bool> sig;
-  sig.reserve(infos_.size());
-  for (const auto& ti : infos_) {
-    bool reachable = true;
-    for (const auto& [anc, dir] : ti.path) {
-      auto it = taken.find(anc);
-      if (it == taken.end() || it->second != dir) {
-        reachable = false;
-        break;
-      }
-    }
-    bool branch = false;
-    if (reachable) {
-      auto it = assignment.find(ti.name);
-      const int64_t tv = it == assignment.end() ? default_value : it->second;
-      branch = ti.par.eval(sizes) >= tv &&
-               (ti.fit.alts.empty() || ti.fit.eval(sizes) <= max_group_size);
-    }
-    taken[ti.name] = branch;
-    sig.push_back(reachable && branch);
-  }
-  return sig;
-}
-
 std::string ThresholdRegistry::tree_str() const {
   std::ostringstream os;
   for (const auto& ti : infos_) {

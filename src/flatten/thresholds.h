@@ -5,8 +5,9 @@
 // registry records, for every threshold, the symbolic size it is compared
 // against and the guard *path* (ancestor thresholds and branch directions)
 // under which the comparison is reachable.  This is the paper's Fig. 5
-// branching tree, and it powers the autotuner's deduplication of equivalent
-// parameter assignments (Sec. 4.2).
+// branching tree; the tuner searches over its thresholds and deduplicates
+// equivalent assignments (Sec. 4.2) on the kernel plan's guard nodes,
+// which carry the same comparisons (src/plan/plan.h).
 #pragma once
 
 #include <cstdint>
@@ -56,15 +57,6 @@ class ThresholdRegistry {
   /// a folded guard takes a constant branch, so it no longer constrains
   /// reachability.  Returns the number of thresholds removed.
   size_t retain(const std::set<std::string>& keep);
-
-  /// For a concrete dataset and threshold assignment, the *path signature*:
-  /// the branch each reachable guard takes.  Two assignments with equal
-  /// signatures on a dataset select exactly the same code versions, hence
-  /// have identical runtimes — the tuner's dedup key.
-  std::vector<bool> path_signature(
-      const SizeEnv& sizes,
-      const std::map<std::string, int64_t>& assignment,
-      int64_t default_value, int64_t max_group_size) const;
 
   /// Render the branching tree (indented text), Fig. 5 style.
   std::string tree_str() const;

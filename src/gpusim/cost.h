@@ -65,7 +65,9 @@ struct RunEstimate {
 };
 
 /// Price one whole program run on `dev` with dataset `sizes` under the given
-/// threshold assignment.
+/// threshold assignment, by walking the target IR.  The reference
+/// implementation of the cost model: production pricing goes through the
+/// kernel plan (src/plan/), which is bit-identical to this walk.
 RunEstimate estimate_run(const DeviceProfile& dev, const Program& p,
                          const SizeEnv& sizes, const ThresholdEnv& thresholds);
 
@@ -79,7 +81,7 @@ int64_t eval_size_scalar(const ExprP& e, const SizeEnv& sizes);
 double roofline_time(const DeviceProfile& dev, const Work& w, int64_t threads,
                      int launches);
 
-/// flop charge of a scalar unary / binary operator.  Shared by the legacy
+/// flop charge of a scalar unary / binary operator.  Shared by the
 /// walker and the plan builder (src/plan/) so the two models cannot drift.
 double unop_flop_cost(const std::string& op);
 double binop_flop_cost(const std::string& op);

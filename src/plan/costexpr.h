@@ -6,7 +6,7 @@
 // multipliers, scratchpad need) depends on the dataset only through size
 // variables and on the device only through a handful of profile fields
 // (tile size, workgroup limit, scratchpad capacity).  A CostArena records
-// every arithmetic step the legacy IR walker would perform — same
+// every arithmetic step the reference IR walker would perform — same
 // operations, same operand order, same integer truncations — so evaluating
 // the arena against a SizeEnv reproduces the walker's results bit for bit
 // without touching the IR again.
@@ -16,7 +16,7 @@
 // poison their dependents (valid bit) instead of throwing, because a node
 // may sit on a code-version path the current traversal never takes; the
 // error surfaces only if a traversal actually reads a poisoned value —
-// exactly when the legacy walker would have thrown.
+// exactly when the reference walker would have thrown.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +108,7 @@ class CostArena {
 };
 
 /// All node values for one (device, dataset) pair, computed in one forward
-/// sweep.  Reading a poisoned node throws EvalError (the legacy walker's
+/// sweep.  Reading a poisoned node throws EvalError (the walker's
 /// behaviour when its lazily-taken path hits an unbound size variable).
 class CostValues {
  public:

@@ -44,7 +44,7 @@ PlanDatasetCache::PlanDatasetCache(const KernelPlan& plan,
         gv.par = gi.par.eval(sizes_);
       } catch (const EvalError&) {
         // Only an error if the fit check does not already reject the guard
-        // (the legacy walker short-circuits on fit failure).
+        // (the reference walker short-circuits on fit failure).
         if (!gv.fit_fail) gv.error = true;
       }
     }
@@ -83,7 +83,7 @@ struct Traversal {
 
   // Evaluates node `id`, returning its simulated-time contribution.  When
   // `out` is non-null the kernel/guard report vectors and work totals are
-  // accumulated with exactly the legacy walker's operation order, so the
+  // accumulated with exactly the reference walker's operation order, so the
   // resulting RunEstimate is bit-identical to estimate_run's.
   double eval(int id, RunEstimate* out) {
     const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
@@ -116,7 +116,7 @@ struct Traversal {
         return eval(taken ? n.then_node : n.else_node, out);
       }
       case PlanNode::Kind::DataCond: {
-        // The legacy walker prices both branches with fresh sub-walkers and
+        // The reference walker prices both branches with fresh sub-walkers and
         // merges the worse one's report.
         RunEstimate ea, eb;
         const double ta = eval(n.then_node, out ? &ea : nullptr);
@@ -162,9 +162,6 @@ struct Traversal {
 
 RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
                           const ThresholdEnv& thresholds) {
-  if (plan.legacy_fallback) {
-    return estimate_run(cache.dev(), plan.program, cache.sizes(), thresholds);
-  }
   RunEstimate out;
   Traversal tr{plan, cache, thresholds, nullptr};
   out.time_us = tr.eval(plan.root, &out);
@@ -173,10 +170,6 @@ RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
 
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
                  const ThresholdEnv& thresholds, PathSig* sig) {
-  if (plan.legacy_fallback) {
-    return estimate_run(cache.dev(), plan.program, cache.sizes(), thresholds)
-        .time_us;
-  }
   Traversal tr{plan, cache, thresholds, sig};
   return tr.eval(plan.root, nullptr);
 }
@@ -185,7 +178,6 @@ std::vector<LaunchInfo> plan_launch_schedule(const KernelPlan& plan,
                                              const PlanDatasetCache& cache,
                                              const ThresholdEnv& thresholds) {
   std::vector<LaunchInfo> out;
-  if (plan.legacy_fallback) return out;
   std::vector<std::pair<std::string, bool>> path;
   // Walks node `id`, appending its launches to `sched` and returning its
   // simulated time (the same arithmetic as Traversal::eval, so entry times
@@ -256,19 +248,12 @@ std::vector<LaunchInfo> plan_launch_schedule(const KernelPlan& plan,
 RunEstimate plan_estimate_run(const KernelPlan& plan, const DeviceProfile& dev,
                               const SizeEnv& sizes,
                               const ThresholdEnv& thresholds) {
-  if (plan.legacy_fallback) {
-    return estimate_run(dev, plan.program, sizes, thresholds);
-  }
   PlanDatasetCache cache(plan, dev, sizes);
   return plan_estimate(plan, cache, thresholds);
 }
 
 std::string plan_stats(const KernelPlan& plan) {
   std::ostringstream os;
-  if (plan.legacy_fallback) {
-    os << "plan: legacy-walker fallback (" << plan.fallback_reason << ")";
-    return os.str();
-  }
   os << "plan: " << plan.nodes.size() << " tree nodes, " << plan.guards.size()
      << " guards, " << plan.kernels.size() << " kernels, "
      << plan.arena.size() << " cost-expression nodes";

@@ -17,9 +17,11 @@
 // — the property the autotuner exploits (its per-assignment cost drops from
 // an IR walk to a decision-tree descent, Sec. 4.2).
 //
-// The legacy walker (gpusim::estimate_run) stays available as a debug
-// oracle; plan evaluation is bit-identical to it by construction
-// (property-tested in tests/test_plan.cpp).
+// The plan is the only production pricing path.  gpusim::estimate_run, the
+// IR walker the builder partially evaluates, stays as the reference
+// implementation: plan evaluation is bit-identical to it by construction
+// (property-tested in tests/test_plan.cpp).  A program the builder cannot
+// lower exactly is a compile error, never a slow path.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,7 @@ struct KernelDesc {
 };
 
 /// Internal decision node: `Par(par) >= t` with the workgroup-feasibility
-/// bound `fit` (empty alts = unconstrained), exactly the legacy walker's
+/// bound `fit` (empty alts = unconstrained), exactly the reference walker's
 /// guard_taken.  `bit` is this node's index in path signatures.
 struct GuardInfo {
   std::string threshold;
@@ -103,19 +105,16 @@ struct KernelPlan {
   /// Distinct threshold parameter names, in first-guard order.
   std::vector<std::string> thresholds;
 
-  /// Set when the program uses a construct the builder cannot lower exactly
-  /// (e.g. threshold guards nested inside a data-dependent branch of an
-  /// intra-group body); estimates then route through the legacy IR walker.
-  bool legacy_fallback = false;
-  std::string fallback_reason;
-
-  /// The target program (cheap to retain: expression trees are shared), for
-  /// the legacy fallback and the debug oracle.
+  /// The target program the plan was built from (cheap to retain:
+  /// expression trees are shared); its name keys profiles and journals.
   Program program;
 };
 
-/// Lower a flattened target program into a plan.  Never throws on exotic
-/// programs: constructs outside the supported fragment set legacy_fallback.
+/// Lower a flattened target program into a plan.  A program outside the
+/// exactly-lowerable fragment (e.g. a threshold guard nested inside a
+/// data-dependent branch of an intra-group body), or one the lowering
+/// fails on, throws VerifyError with check "plan-unsupported" and context
+/// "plan-build".
 KernelPlan build_kernel_plan(const Program& p);
 
 /// All per-dataset state: one forward sweep over the arena plus lazily
@@ -140,7 +139,7 @@ class PlanDatasetCache {
   /// Priced kernel `k`; throws EvalError if its sizes are unbound.
   const PricedKernel& kernel(int k) const;
 
-  /// Guard branch under a threshold value, mirroring the legacy
+  /// Guard branch under a threshold value, mirroring the walker's
   /// guard_taken: fit failure wins, else par >= threshold.
   bool guard_taken(int guard_ix, int64_t threshold_value) const;
 
@@ -203,9 +202,7 @@ struct LaunchInfo {
 /// The ordered launch schedule plan_estimate prices under `thresholds`:
 /// Guard nodes descend the selected branch, DataCond descends the worse
 /// branch (the one whose report plan_estimate merges), Scale multiplies
-/// time and launch counts.  Entry times sum to plan_cost.  Empty for
-/// legacy_fallback plans (the executor then degrades via the estimate's
-/// flat guard list instead).
+/// time and launch counts.  Entry times sum to plan_cost.
 std::vector<LaunchInfo> plan_launch_schedule(const KernelPlan& plan,
                                              const PlanDatasetCache& cache,
                                              const ThresholdEnv& thresholds);

@@ -15,8 +15,8 @@
 // continuation-passing style and the continuation is run once per branch.
 // Constructs whose walker semantics cannot be expressed as a tree (guards
 // under data-dependent intra-group branches, branches that rebind names)
-// abort the build via PlanUnsupported and the plan falls back to the
-// legacy walker.
+// abort the build via PlanUnsupported, which build_kernel_plan reports as
+// a compile error: there is no pricing path besides the plan.
 
 #include <algorithm>
 #include <functional>
@@ -24,6 +24,7 @@
 #include <utility>
 
 #include "src/ir/traverse.h"
+#include "src/ir/verify.h"
 #include "src/plan/plan.h"
 #include "src/support/error.h"
 #include "src/support/trace.h"
@@ -32,8 +33,8 @@ namespace incflat {
 
 namespace {
 
-/// Raised when the program leaves the exactly-lowerable fragment; the
-/// caller converts it into KernelPlan::legacy_fallback.
+/// Raised when the program leaves the exactly-lowerable fragment;
+/// build_kernel_plan converts it into a VerifyError.
 struct PlanUnsupported {
   std::string reason;
 };
@@ -805,37 +806,23 @@ KernelPlan build_kernel_plan(const Program& p) {
   for (const auto& sp : p.size_params()) {
     b.env[sp] = Type::scalar(Scalar::I64);
   }
-  auto fall_back = [&plan](const std::string& reason) {
-    plan.arena = CostArena{};
-    plan.kernels.clear();
-    plan.guards.clear();
-    plan.nodes.clear();
-    plan.thresholds.clear();
-    plan.root = -1;
-    plan.legacy_fallback = true;
-    plan.fallback_reason = reason;
-  };
   try {
     plan.root = b.build_host(p.body);
   } catch (const PlanUnsupported& u) {
-    fall_back(u.reason);
+    throw VerifyError("plan-unsupported", "plan-build", u.reason);
   } catch (const std::exception& ex) {
-    // A build-time failure (malformed program, untyped name) would equally
-    // fail in the legacy walker at estimate time; defer to it.
-    fall_back(ex.what());
+    // A build-time failure (malformed program, untyped name) is a program
+    // the plan cannot price either.
+    throw VerifyError("plan-unsupported", "plan-build", ex.what());
   }
   if (trace::enabled()) {
     trace::count("plan.builds");
-    if (plan.legacy_fallback) {
-      trace::count("plan.legacy_fallbacks");
-    } else {
-      trace::count("plan.arena_nodes", static_cast<int64_t>(plan.arena.size()));
-      trace::count("plan.tree_nodes", static_cast<int64_t>(plan.nodes.size()));
-      trace::count("plan.kernels", static_cast<int64_t>(plan.kernels.size()));
-      trace::count("plan.guards", static_cast<int64_t>(plan.guards.size()));
-      trace::gauge("plan.tree_depth",
-                   static_cast<int64_t>(tree_depth(plan, plan.root)));
-    }
+    trace::count("plan.arena_nodes", static_cast<int64_t>(plan.arena.size()));
+    trace::count("plan.tree_nodes", static_cast<int64_t>(plan.nodes.size()));
+    trace::count("plan.kernels", static_cast<int64_t>(plan.kernels.size()));
+    trace::count("plan.guards", static_cast<int64_t>(plan.guards.size()));
+    trace::gauge("plan.tree_depth",
+                 static_cast<int64_t>(tree_depth(plan, plan.root)));
   }
   return plan;
 }

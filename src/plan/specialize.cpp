@@ -146,10 +146,6 @@ SpecializeResult specialize_plan(const KernelPlan& plan,
                                  const DeviceProfile& dev,
                                  const SpecializeOptions& opts) {
   SpecializeResult res;
-  if (plan.legacy_fallback) {
-    res.reason = "legacy-fallback plan (" + plan.fallback_reason + ")";
-    return res;
-  }
   profile::check_profile(prof, plan);
   if (prof.device != dev.name) {
     res.reason = "profile is for device '" + prof.device + "', not '" +

@@ -24,9 +24,9 @@
 //    threshold parameter, under *empty* size bounds so the proof holds for
 //    every dataset) need no shape guard at all — the guard is elided.
 //
-// Guards that never stabilized, data-dependent (worse-of-both) branches and
-// legacy-fallback plans refuse specialization; the tree tier remains the
-// sole authority for them.  Threshold values are frozen into the
+// Guards that never stabilized and data-dependent (worse-of-both) branches
+// refuse specialization; the tree tier remains the sole authority for
+// them.  Threshold values are frozen into the
 // SpecializedPlan: dispatching under a different assignment (or device) is
 // a deoptimization, handled by the tiered runtime (src/exec/runtime.h).
 #pragma once

@@ -59,7 +59,6 @@ void check_profile(const ExecProfile& p, const KernelPlan& plan) {
 void record_run(ExecProfile& p, const KernelPlan& plan,
                 const PlanDatasetCache& cache,
                 const ThresholdEnv& thresholds) {
-  INCFLAT_CHECK(!plan.legacy_fallback, "record_run on a legacy-fallback plan");
   check_profile(p, plan);
   // Structural descent over the guards a PathSig records: Guard nodes
   // record their decision and descend the taken branch; DataCond evaluates

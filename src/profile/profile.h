@@ -80,8 +80,8 @@ void check_profile(const ExecProfile& p, const KernelPlan& plan);
 /// Record one tree descent's guard decisions under `thresholds` into `p`:
 /// taken/not-taken tallies, observed Par ranges and decision streaks.  The
 /// descent visits the guards a PathSig records (data-dependent branches
-/// record both arms, exactly the guards the estimate evaluates).  The cache must have
-/// been built for `plan`, which must not be a legacy-fallback plan.
+/// record both arms, exactly the guards the estimate evaluates).  The cache
+/// must have been built for `plan`.
 void record_run(ExecProfile& p, const KernelPlan& plan,
                 const PlanDatasetCache& cache, const ThresholdEnv& thresholds);
 

@@ -48,17 +48,15 @@ DeviceProfile device_from_name(const std::string& name) {
 /// the budget is that it is monotone in plan size and stable per key.
 size_t approx_entry_bytes(const Compiled& c, bool has_runtime) {
   size_t b = 4096;  // entry fixed cost (key, runtime scaffolding)
-  if (c.plan) {
-    const KernelPlan& p = *c.plan;
-    b += p.arena.size() * 48;
-    b += p.kernels.size() * 256;
-    b += p.nodes.size() * 64;
-    b += p.guards.size() * 128;
-    for (const auto& t : p.thresholds) b += t.size() + 32;
-    // A run entry's TieredRuntime keeps a per-shape dataset cache (one
-    // priced cost row per arena node) plus profile state.
-    if (has_runtime) b += p.arena.size() * 16 + 1024;
-  }
+  const KernelPlan& p = *c.plan;
+  b += p.arena.size() * 48;
+  b += p.kernels.size() * 256;
+  b += p.nodes.size() * 64;
+  b += p.guards.size() * 128;
+  for (const auto& t : p.thresholds) b += t.size() + 32;
+  // A run entry's TieredRuntime keeps a per-shape dataset cache (one priced
+  // cost row per arena node) plus profile state.
+  if (has_runtime) b += p.arena.size() * 16 + 1024;
   return b;
 }
 
@@ -460,13 +458,10 @@ Json ServerCore::do_compile(const Json& req) {
   r.set("key", entry->key);
   r.set("program_hash", hex64(entry->program_hash));
   r.set("compile_us", cached ? 0.0 : entry->compile_us);
-  if (entry->compiled.plan) {
-    const KernelPlan& p = *entry->compiled.plan;
-    r.set("kernels", p.kernels.size());
-    r.set("guards", p.guards.size());
-    r.set("thresholds", p.thresholds.size());
-    r.set("legacy_fallback", p.legacy_fallback);
-  }
+  const KernelPlan& p = *entry->compiled.plan;
+  r.set("kernels", p.kernels.size());
+  r.set("guards", p.guards.size());
+  r.set("thresholds", p.thresholds.size());
   return r;
 }
 

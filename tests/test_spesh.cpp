@@ -125,7 +125,7 @@ TEST(IntervalMeet, MeetsBoundsAndDetectsEmptiness) {
 // Specializer refusals
 // ---------------------------------------------------------------------------
 
-TEST(Specialize, RefusesUnstableProfilesLegacyPlansAndForeignDevices) {
+TEST(Specialize, RefusesUnstableProfilesAndForeignDevices) {
   const Benchmark b = bench_matmul();
   const Compiled c = compile(b.program, FlattenMode::Incremental);
   const KernelPlan& plan = *c.plan;
@@ -156,13 +156,6 @@ TEST(Specialize, RefusesUnstableProfilesLegacyPlansAndForeignDevices) {
   r = spesh::specialize_plan(plan, foreign, thr, dev, opts);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.reason.find("device"), std::string::npos) << r.reason;
-
-  // Legacy-fallback plans have no traversable tree to specialize.
-  KernelPlan legacy = plan;
-  legacy.legacy_fallback = true;
-  r = spesh::specialize_plan(legacy, hot, thr, dev, opts);
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.reason.find("legacy"), std::string::npos) << r.reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +168,6 @@ TEST_P(SpeshSuite, SpecializedReplayIsBitIdenticalToTheTree) {
   const Benchmark b = get_benchmark(GetParam());
   const Compiled c = compile(b.program, FlattenMode::Incremental);
   const KernelPlan& plan = *c.plan;
-  if (plan.legacy_fallback) GTEST_SKIP() << "legacy-fallback plan";
 
   spesh::SpecializeOptions opts;
   opts.hot_runs = 4;
@@ -229,7 +221,6 @@ TEST(ShapeGuards, PassImpliesBitIdentityFailCatchesEveryFlip) {
   const Benchmark b = bench_heston();
   const Compiled c = compile(b.program, FlattenMode::Incremental);
   const KernelPlan& plan = *c.plan;
-  ASSERT_FALSE(plan.legacy_fallback);
   const DeviceProfile dev = device_k40();
   const SizeEnv base = b.datasets.at(0).sizes;
   const ThresholdEnv thr;
@@ -486,7 +477,6 @@ TEST(TieredRuntime, DriftingStreamsStayBitIdenticalToTheTreeOracle) {
     const Benchmark b = get_benchmark(name);
     const Compiled c = compile(b.program, FlattenMode::Incremental);
     const KernelPlan& plan = *c.plan;
-    if (plan.legacy_fallback) continue;
     for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
       TierPolicy tp;
       tp.hot_runs = 3;
@@ -584,7 +574,7 @@ TEST(ProfileSeededTuning, ColdThresholdsArePrunedAndResultsStayValid) {
       autotune(dev, c.flat.program, c.flat.thresholds, train, seeded);
   EXPECT_TRUE(rep.profile_seeded);
   EXPECT_GT(rep.cold_pruned, 0);
-  // The reported best cost is a real cost: the legacy walker reprices the
+  // The reported best cost is a real cost: the reference walker reprices the
   // returned assignment to the same number, and tuning never loses to the
   // untuned default.
   EXPECT_DOUBLE_EQ(tuning_cost(dev, c.flat.program, train, rep.best),

@@ -56,7 +56,6 @@ struct Options {
   bool simplify = false;
   bool tune = false;
   bool exhaustive = false;
-  bool oracle = false;
   bool json = false;
   bool stats = false;
   bool trace = false;
@@ -124,12 +123,12 @@ int usage() {
       "                              Sec. 5.3 Backprop ablation)\n"
       "  --passes LIST               run this comma-separated pass pipeline\n"
       "                              instead of the canned one ('transform'\n"
-      "                              is an alias for the mode's pass)\n"
+      "                              is an alias for the mode's pass;\n"
+      "                              plan-build is appended if missing and\n"
+      "                              must come last)\n"
       "  --verify-each               verify IR invariants after every pass\n"
       "  --print-after PASS          print the program after PASS ran\n"
       "                              ('all' = after every pass)\n"
-      "  --oracle                    price with the legacy IR walker instead\n"
-      "                              of the kernel plan (debug oracle)\n"
       "  --json                      machine-readable output\n"
       "  --trace[=FILE]              write a Chrome trace-event JSON of the\n"
       "                              pipeline (default trace.json); open in\n"
@@ -217,8 +216,6 @@ std::optional<Options> parse(int argc, char** argv) {
       if (const char* v = next()) o.passes = v; else return std::nullopt;
     } else if (a == "--print-after") {
       if (const char* v = next()) o.print_after = v; else return std::nullopt;
-    } else if (a == "--oracle") {
-      o.oracle = true;
     } else if (a == "--json") {
       o.json = true;
     } else if (a == "--stats") {
@@ -389,13 +386,7 @@ int run(const Options& o) {
               << " thresholds):\n"
               << fr.thresholds.tree_str();
   }
-  if (o.print_plan) {
-    if (c.plan) {
-      std::cout << plan_stats(*c.plan) << "\n";
-    } else {
-      std::cout << "no kernel plan (pipeline did not run plan-build)\n";
-    }
-  }
+  if (o.print_plan) std::cout << plan_stats(*c.plan) << "\n";
 
   if (o.lint) {
     analysis::LintOptions lopts;
@@ -443,7 +434,6 @@ int run(const Options& o) {
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
     TunerOptions topts;
-    topts.use_plan = !o.oracle;
     // Fault-injected tuning: the spec's noise amplitude perturbs every
     // measurement and its launch rate makes individual measurements fail;
     // the tuner answers with median-of-k re-measurement.
@@ -455,18 +445,13 @@ int run(const Options& o) {
     if (seeded_prof && seeded_prof->device == dev.name) {
       topts.profile = &*seeded_prof;
     }
-    // Tune on the compile's own plan, so a run builds it once; a pass list
-    // without plan-build tunes from the program.
-    const auto tune = [&](const auto& target) {
-      return o.exhaustive
-                 ? exhaustive_tune(dev, target, fr.thresholds, train,
-                                   topts.default_threshold, topts)
-                 : autotune(dev, target, fr.thresholds, train, topts);
-    };
-    TuningReport rep = c.plan ? tune(*c.plan) : tune(fr.program);
+    // Tune on the compile's own plan, so a run builds it once.
+    const TuningReport rep =
+        o.exhaustive ? exhaustive_tune(dev, *c.plan, fr.thresholds, train,
+                                       topts.default_threshold, topts)
+                     : autotune(dev, *c.plan, fr.thresholds, train, topts);
     thresholds = rep.best;
-    std::cout << "tuned on " << train.size() << " datasets via "
-              << (rep.used_plan ? "kernel plan" : "IR walker") << ": "
+    std::cout << "tuned on " << train.size() << " datasets: "
               << fmt_us(rep.default_cost_us) << " -> "
               << fmt_us(rep.best_cost_us) << " (" << rep.evaluations
               << " evaluations, " << rep.dedup_hits << " dedup hits)\n";
@@ -500,13 +485,7 @@ int run(const Options& o) {
 
     if (o.tiered()) {
       // Tiered execution: profile the guard tree across --repeat runs,
-      // specialize once stable, deoptimize on drift.  Uses the kernel plan
-      // (--oracle has no tiered analogue).
-      if (!c.plan) {
-        cli_error("input", "tiered execution needs a kernel plan, but the "
-                           "pipeline did not run plan-build");
-        return 1;
-      }
+      // specialize once stable, deoptimize on drift.
       TierPolicy tp;
       tp.profile = true;
       tp.specialize = o.specialize;
@@ -574,18 +553,13 @@ int run(const Options& o) {
       return all_ok ? 0 : 1;
     }
 
-    // simulate() prices via the kernel plan when one exists and falls back
-    // to the legacy IR walker otherwise; --oracle forces the walker.
-    Compiled sim = c;
-    if (o.oracle) sim.plan = nullptr;
-
     if (fspec.faults_launches()) {
       // Fault-injected execution: retries and graceful degradation over the
       // guard tree; an unrecoverable run reports a structured diagnostic
       // and exits 1 instead of throwing.
       FaultPlan fplan(fspec, o.fault_seed);
       const RunOutcome out =
-          run_with_faults(dev, sim, ds->sizes, thresholds, fplan, policy);
+          run_with_faults(dev, c, ds->sizes, thresholds, fplan, policy);
       if (o.json) {
         Json j = Json::object();
         j.set("benchmark", b.name)
@@ -627,7 +601,7 @@ int run(const Options& o) {
       return out.ok ? 0 : 1;
     }
 
-    const RunEstimate est = simulate(dev, sim, ds->sizes, thresholds);
+    const RunEstimate est = simulate(dev, c, ds->sizes, thresholds);
     if (o.json) {
       Json j = Json::object();
       j.set("benchmark", b.name)

@@ -149,7 +149,6 @@ void soak_tiered(Tally& t, const Benchmark& b, const Compiled& c,
                  const DeviceProfile& dev, const FaultSpec& spec,
                  uint64_t seed) {
   const KernelPlan& plan = *c.plan;
-  if (plan.legacy_fallback) return;
   const std::string tag = b.name + "/" + dev.name + " tiered";
 
   // Threshold 1 turns every guard on at interpreter sizes, so shape drift
