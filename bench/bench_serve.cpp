@@ -185,7 +185,6 @@ int run_bench() {
       TunerOptions topts;
       topts.max_trials = opts.tune_trials;
       topts.measure_seed = opts.fault_seed;
-      topts.workers = 1;
       const TuningReport offline =
           autotune(dev, *c.plan, c.flat.thresholds, train, topts);
       Json req = Json::object();

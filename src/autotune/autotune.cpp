@@ -15,7 +15,6 @@
 #include "src/autotune/journal.h"
 #include "src/plan/plan.h"
 #include "src/support/error.h"
-#include "src/support/pool.h"
 #include "src/support/rng.h"
 #include "src/support/trace.h"
 
@@ -229,7 +228,7 @@ class PlanSearch {
   int64_t default_value() const { return default_value_; }
 
   /// Dedup key of `c` into `out` (key_words() words): per dataset, the
-  /// PathSig plan_cost records.  Thread-safe for distinct `out`.
+  /// PathSig plan_cost records.
   void key(const Candidate& c, uint64_t* out) const {
     std::fill(out, out + key_words(), uint64_t{0});
     for (size_t d = 0; d < caches_.size(); ++d) {
@@ -399,28 +398,6 @@ void stochastic_search(PlanMemoizer& memo,
   rep.dedup_hits = memo.dedup_hits;
 }
 
-/// Every full assignment of `cands` values to the slots, in recursive
-/// enumeration order (the last slot varies fastest).
-std::vector<Candidate> enumerate_assignments(
-    const std::vector<std::vector<int64_t>>& cands, int64_t default_value) {
-  std::vector<Candidate> all;
-  Candidate cur(cands.size(), default_value);
-  std::vector<size_t> ix(cands.size(), 0);
-  for (size_t i = 0; i < cands.size(); ++i) cur.assign(i, cands[i][0]);
-  for (;;) {
-    all.push_back(cur);
-    size_t i = cands.size();
-    for (;;) {
-      if (i == 0) return all;
-      --i;
-      if (++ix[i] < cands[i].size()) break;
-      ix[i] = 0;
-      cur.assign(i, cands[i][0]);
-    }
-    cur.assign(i, cands[i][ix[i]]);
-  }
-}
-
 /// One-shot trace counters for a finished search: the hot candidate loop
 /// stays uninstrumented, the tallies it already keeps in the report are
 /// published at the end.
@@ -520,8 +497,7 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
 TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold,
-                             const TunerOptions& opts) {
+                             int64_t default_threshold) {
   trace::Span span("tune.exhaustive");
   TuningReport rep;
 
@@ -537,69 +513,39 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
     names.push_back(ti.name);
     cands.emplace_back(c.begin(), c.end());
   }
-  const std::vector<Candidate> all =
-      enumerate_assignments(cands, default_threshold);
-  const Candidate defaults(names.size(), default_threshold);
 
-  WorkerPool pool(opts.workers);
   const PlanSearch ev(plan, dev, datasets, names, default_threshold);
-  const int n = static_cast<int>(all.size());
+  PlanMemoizer memo(ev, names, nullptr);
+  Candidate best_assign(names.size(), default_threshold);  // all defaults
+  rep.default_cost_us = memo.cost(best_assign);
+  double best = memo.cost(best_assign);
 
-  // Phase 1: dedup keys for every candidate, concurrently.
-  PlanKey default_key(ev.key_words());
-  ev.key(defaults, default_key.data());
-  std::vector<PlanKey> keys(all.size(), PlanKey(ev.key_words()));
-  pool.run(n, [&](int i) {
-    ev.key(all[static_cast<size_t>(i)], keys[static_cast<size_t>(i)].data());
-  });
-
-  // Phase 2: one representative per distinct key (-1 = default env).
-  std::map<PlanKey, int> rep_ix;
-  rep_ix.emplace(default_key, -1);
-  for (int i = 0; i < n; ++i) {
-    rep_ix.emplace(keys[static_cast<size_t>(i)], i);
-  }
-
-  // Phase 3: price only the representatives, concurrently.
-  std::vector<std::pair<const PlanKey*, int>> uniq;
-  uniq.reserve(rep_ix.size());
-  for (const auto& [k, ix] : rep_ix) uniq.emplace_back(&k, ix);
-  std::vector<double> ucost(uniq.size());
-  pool.run(static_cast<int>(uniq.size()), [&](int u) {
-    const int ix = uniq[static_cast<size_t>(u)].second;
-    ucost[static_cast<size_t>(u)] = ev.cost(
-        to_env(names, ix < 0 ? defaults : all[static_cast<size_t>(ix)],
-               default_threshold));
-  });
-  std::map<PlanKey, double> cost_of;
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    cost_of.emplace(*uniq[u].first, ucost[u]);
-  }
-
-  // Phase 4: deterministic sequential replay of the enumeration order,
-  // with the memoizer's counter semantics.
-  std::set<PlanKey> seen;
-  auto memo_cost = [&](const PlanKey& k) {
-    if (seen.insert(k).second) {
-      ++rep.evaluations;
-    } else {
-      ++rep.dedup_hits;
-    }
-    return cost_of.at(k);
-  };
-  rep.default_cost_us = memo_cost(default_key);
-  double best = memo_cost(default_key);
-  const Candidate* best_assign = &defaults;
-  for (int i = 0; i < n; ++i) {
+  // Every full assignment, enumerated in place (the last slot varies
+  // fastest): `cur` steps through the product of the value lists like an
+  // odometer, `ix` holding each slot's position.
+  Candidate cur(names.size(), default_threshold);
+  std::vector<size_t> ix(names.size(), 0);
+  for (size_t i = 0; i < names.size(); ++i) cur.assign(i, cands[i][0]);
+  for (;;) {
     ++rep.trials;
-    const double c = memo_cost(keys[static_cast<size_t>(i)]);
+    const double c = memo.cost(cur);
     if (c < best) {
       best = c;
-      best_assign = &all[static_cast<size_t>(i)];
+      best_assign = cur;
     }
+    size_t i = names.size();
+    while (i > 0 && ++ix[i - 1] == cands[i - 1].size()) {
+      ix[i - 1] = 0;
+      cur.assign(i - 1, cands[i - 1][0]);
+      --i;
+    }
+    if (i == 0) break;
+    cur.assign(i - 1, cands[i - 1][ix[i - 1]]);
   }
-  rep.best = to_env(names, *best_assign, default_threshold);
+  rep.best = to_env(names, best_assign, default_threshold);
   rep.best_cost_us = best;
+  rep.evaluations = memo.evaluations;
+  rep.dedup_hits = memo.dedup_hits;
   trace_report(rep);
   return rep;
 }
@@ -607,10 +553,9 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
 TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold,
-                             const TunerOptions& opts) {
+                             int64_t default_threshold) {
   return exhaustive_tune(dev, build_kernel_plan(p), reg, datasets,
-                         default_threshold, opts);
+                         default_threshold);
 }
 
 double tuning_cost(const DeviceProfile& dev, const Program& p,

@@ -48,9 +48,9 @@ struct TunerOptions {
   int log2_max = 31;
   int64_t default_threshold = int64_t{1} << 15;  // paper default
 
-  /// Worker threads for exhaustive_tune's key and pricing batches; <= 0
-  /// picks a small default from hardware_concurrency.  The stochastic
-  /// search runs on the calling thread alone.
+  /// Ignored: every search runs on the calling thread.  Kept only because
+  /// the repo benchmark (perfbench/src/offline.cpp) still assigns it;
+  /// delete with the next benchmark change.
   int workers = 0;
 
   // --- robustness (fault-injected measurements; all off by default, in
@@ -134,18 +134,21 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
 /// takes values from {1, 2^62} ∪ {per-dataset Par values}, so every
 /// reachable combination of code-version selections is visited.  Used as
 /// the oracle in tests and the "AIF with unlimited tuning budget" bound.
+/// The defaults (twice) and then every candidate go through the same
+/// dedup memoizer as the stochastic search, on the calling thread: an
+/// assignment whose guard paths match an earlier one is a dedup hit, so
+/// only distinct behaviours are priced.  Measurements are exact; there is
+/// no noise, journal or budget.
 TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold = int64_t{1} << 15,
-                             const TunerOptions& opts = {});
+                             int64_t default_threshold = int64_t{1} << 15);
 
 /// Same, from the target program (builds its plan first).
 TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold = int64_t{1} << 15,
-                             const TunerOptions& opts = {});
+                             int64_t default_threshold = int64_t{1} << 15);
 
 /// The tuner's cost function: weighted sum over datasets of simulated
 /// runtime under the given assignment, priced by the reference IR walker

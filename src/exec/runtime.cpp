@@ -71,136 +71,167 @@ void mark_cancelled(RunOutcome& out, double wasted) {
   if (trace::enabled()) trace::count("exec.cancelled_runs");
 }
 
+void count_run(const RunOutcome& out) {
+  if (!trace::enabled()) return;
+  trace::count("exec.fault_runs");
+  trace::count("exec.faults", out.faults);
+  trace::count("exec.retries", out.retries);
+  trace::count("exec.degradations", out.degradations);
+}
+
+/// One run's launch-loop state, carried across its passes.
+struct LaunchState {
+  RunOutcome out;
+  double wasted = 0;    // failed attempts, backoffs, abandoned partial passes
+  int since_check = 0;  // launches since the last CancelToken check
+};
+
+/// How a pass over a launch schedule ended.
+enum class PassEnd { Completed, Cancelled, Persistent };
+
+/// The kernel a pass stopped at on a persistent fault.
+struct PersistentFault {
+  const LaunchInfo* kernel = nullptr;
+  FaultKind kind = FaultKind::None;
+  int attempt = 0;  // 1-based attempt that faulted; 0 = policy timeout
+};
+
+/// The launch loop both tiers run: one pass over `sched` against `faults`
+/// under `policy`.  The pass start and every kCancelCheckStride-th launch
+/// check the CancelToken (an expired token marks st.out cancelled); a
+/// kernel beyond the per-kernel timeout is persistent without consulting
+/// the FaultPlan; transient faults are retried with capped exponential
+/// backoff, each recorded as a "retry" event.  A persistent fault ends the
+/// pass with the pass's completed launches folded into st.wasted; what to
+/// do about it (degrade or deoptimize) is the caller's decision.
+PassEnd launch_pass(const DeviceProfile& dev, const RunPolicy& policy,
+                    const std::vector<LaunchInfo>& sched, FaultPlan& faults,
+                    LaunchState& st, PersistentFault& pf) {
+  RunOutcome& out = st.out;
+  // Pass start is a natural cancellation point: a restart redoes the whole
+  // schedule, the most expensive step an expired request could still take.
+  if (policy.cancel && policy.cancel->expired()) {
+    mark_cancelled(out, st.wasted);
+    return PassEnd::Cancelled;
+  }
+  double completed = 0;  // progress of this pass, wasted if it is abandoned
+  for (const LaunchInfo& li : sched) {
+    if (policy.cancel && ++st.since_check >= kCancelCheckStride) {
+      st.since_check = 0;
+      if (policy.cancel->expired()) {
+        mark_cancelled(out, st.wasted + completed);
+        return PassEnd::Cancelled;
+      }
+    }
+    // A kernel whose fault-free time already exceeds the per-kernel
+    // timeout can never finish: persistent by policy, no launch consult.
+    bool persistent = false;
+    FaultKind kind = FaultKind::None;
+    int attempt = 0;
+    if (policy.kernel_timeout_us > 0 && li.time_us > policy.kernel_timeout_us) {
+      persistent = true;
+      kind = FaultKind::LaunchTimeout;
+      ++out.faults;
+      st.wasted += policy.kernel_timeout_us;
+    }
+    while (!persistent) {
+      ++attempt;
+      kind = faults.next_launch();
+      if (kind == FaultKind::None) break;  // the launch succeeded
+      ++out.faults;
+      st.wasted += attempt_cost(dev, policy, li, kind);
+      if (kind == FaultKind::LocalAllocFailed ||
+          attempt >= policy.max_attempts) {
+        persistent = true;
+        break;
+      }
+      ++out.retries;
+      st.wasted += backoff_for(policy, attempt);
+      out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind,
+                                      attempt, "retry", ""});
+    }
+    if (!persistent) {
+      completed += li.time_us;
+      continue;
+    }
+    st.wasted += completed;  // partial progress is thrown away
+    pf = PersistentFault{&li, kind, attempt};
+    return PassEnd::Persistent;
+  }
+  return PassEnd::Completed;
+}
+
+/// The tree tier over a warmed dataset cache: passes over the plan's launch
+/// schedule, degrading on every persistent fault by forcing the innermost
+/// taken guard on the failing kernel's path off, until a pass completes,
+/// the token expires, or no sibling version (or degradation budget) is
+/// left.
+RunOutcome run_tree(const DeviceProfile& dev, const KernelPlan& plan,
+                    const PlanDatasetCache& cache,
+                    const ThresholdEnv& thresholds, FaultPlan& faults,
+                    const RunPolicy& policy) {
+  trace::Span span("exec.run");
+  LaunchState st;
+  RunOutcome& out = st.out;
+  out.thresholds = thresholds;
+  for (;;) {
+    const std::vector<LaunchInfo> sched =
+        plan_launch_schedule(plan, cache, out.thresholds);
+    PersistentFault pf;  // points into `sched`
+    const PassEnd end = launch_pass(dev, policy, sched, faults, st, pf);
+    if (end == PassEnd::Completed) break;
+    if (end == PassEnd::Cancelled) {
+      out.estimate = plan_estimate(plan, cache, out.thresholds);
+      return std::move(out);
+    }
+    const LaunchInfo& li = *pf.kernel;
+    const auto taken = std::find_if(
+        li.guard_path.rbegin(), li.guard_path.rend(),
+        [](const std::pair<std::string, bool>& g) { return g.second; });
+    const char* why = taken == li.guard_path.rend()
+                          ? "no surviving sibling version remains"
+                      : out.degradations >= policy.max_degradations
+                          ? "the degradation budget is exhausted"
+                          : nullptr;
+    if (why) {
+      out.events.push_back(FaultEvent{faults.launches() - 1, li.what,
+                                      pf.kind, 0, "abort", ""});
+      Diagnostic d;
+      d.severity = Severity::Error;
+      d.check = "fault-unrecoverable";
+      d.context = "run";
+      d.message = "kernel '" + li.what + "' failed persistently (" +
+                  fault_kind_name(pf.kind) + ") and " + why;
+      out.error = d;
+      out.ok = false;
+      out.estimate = plan_estimate(plan, cache, out.thresholds);
+      out.time_us = st.wasted;
+      out.overhead_us = st.wasted;
+      count_run(out);
+      return std::move(out);
+    }
+    out.thresholds.values[taken->first] = int64_t{1} << 62;
+    ++out.degradations;
+    out.degraded.push_back(taken->first);
+    out.events.push_back(FaultEvent{faults.launches() - 1, li.what, pf.kind,
+                                    pf.attempt, "degrade", taken->first});
+  }
+  out.ok = true;
+  out.estimate = plan_estimate(plan, cache, out.thresholds);
+  out.overhead_us = st.wasted;
+  out.time_us = out.estimate.time_us + st.wasted;
+  count_run(out);
+  return std::move(out);
+}
+
 }  // namespace
 
 RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy) {
-  trace::Span span("exec.run");
-  RunOutcome out;
-  out.thresholds = thresholds;
-
-  const PlanDatasetCache cache(plan, dev, sizes);
-  const auto final_estimate = [&]() {
-    return plan_estimate(plan, cache, out.thresholds);
-  };
-
-  double wasted = 0;  // failed attempts, backoffs, abandoned partial runs
-
-  const auto emit_counters = [&out] {
-    if (!trace::enabled()) return;
-    trace::count("exec.fault_runs");
-    trace::count("exec.faults", out.faults);
-    trace::count("exec.retries", out.retries);
-    trace::count("exec.degradations", out.degradations);
-  };
-
-  const auto abort_run = [&](const LaunchInfo& li, FaultKind kind,
-                             const std::string& why) {
-    out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind, 0,
-                                    "abort", ""});
-    Diagnostic d;
-    d.severity = Severity::Error;
-    d.check = "fault-unrecoverable";
-    d.context = "run";
-    d.message = "kernel '" + li.what + "' failed persistently (" +
-                fault_kind_name(kind) + ") and " + why;
-    out.error = d;
-    out.ok = false;
-    out.estimate = final_estimate();
-    out.time_us = wasted;
-    out.overhead_us = wasted;
-    emit_counters();
-  };
-
-  bool restart = true;
-  int since_check = 0;
-  while (restart) {
-    restart = false;
-    // Pass start is a natural cancellation point: a restart redoes the whole
-    // schedule, the most expensive step an expired request could still take.
-    if (policy.cancel && policy.cancel->expired()) {
-      mark_cancelled(out, wasted);
-      out.estimate = final_estimate();
-      return out;
-    }
-    const std::vector<LaunchInfo> sched =
-        plan_launch_schedule(plan, cache, out.thresholds);
-    double completed = 0;  // progress of this pass, wasted if it restarts
-
-    for (const LaunchInfo& li : sched) {
-      if (policy.cancel && ++since_check >= kCancelCheckStride) {
-        since_check = 0;
-        if (policy.cancel->expired()) {
-          mark_cancelled(out, wasted + completed);
-          out.estimate = final_estimate();
-          return out;
-        }
-      }
-      // A kernel whose fault-free time already exceeds the per-kernel
-      // timeout can never finish: persistent by policy, no launch consult.
-      bool persistent = false;
-      FaultKind kind = FaultKind::None;
-      int attempt = 0;
-      if (policy.kernel_timeout_us > 0 &&
-          li.time_us > policy.kernel_timeout_us) {
-        persistent = true;
-        kind = FaultKind::LaunchTimeout;
-        ++out.faults;
-        wasted += policy.kernel_timeout_us;
-      }
-      while (!persistent) {
-        ++attempt;
-        kind = faults.next_launch();
-        if (kind == FaultKind::None) break;  // the launch succeeded
-        ++out.faults;
-        wasted += attempt_cost(dev, policy, li, kind);
-        if (kind == FaultKind::LocalAllocFailed ||
-            attempt >= policy.max_attempts) {
-          persistent = true;
-          break;
-        }
-        ++out.retries;
-        wasted += backoff_for(policy, attempt);
-        out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind,
-                                        attempt, "retry", ""});
-      }
-      if (!persistent) {
-        completed += li.time_us;
-        continue;
-      }
-
-      // Persistent fault: fall back to the next surviving guarded sibling
-      // by forcing the innermost taken guard on this kernel's path off.
-      wasted += completed;  // partial progress is thrown away
-      const auto taken = std::find_if(
-          li.guard_path.rbegin(), li.guard_path.rend(),
-          [](const std::pair<std::string, bool>& g) { return g.second; });
-      if (taken == li.guard_path.rend()) {
-        abort_run(li, kind, "no surviving sibling version remains");
-        return out;
-      }
-      if (out.degradations >= policy.max_degradations) {
-        abort_run(li, kind, "the degradation budget is exhausted");
-        return out;
-      }
-      out.thresholds.values[taken->first] = int64_t{1} << 62;
-      ++out.degradations;
-      out.degraded.push_back(taken->first);
-      out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind,
-                                      attempt, "degrade", taken->first});
-      restart = true;
-      break;
-    }
-  }
-
-  out.ok = true;
-  out.estimate = final_estimate();
-  out.overhead_us = wasted;
-  out.time_us = out.estimate.time_us + wasted;
-  emit_counters();
-  return out;
+  return run_tree(dev, plan, PlanDatasetCache(plan, dev, sizes), thresholds,
+                  faults, policy);
 }
 
 RunPolicy parse_run_policy(const std::string& spec) {
@@ -254,13 +285,6 @@ std::string run_policy_str(const RunPolicy& policy) {
      << ",timeout=" << fmt_double(policy.kernel_timeout_us, 1)
      << ",degradations=" << policy.max_degradations;
   return os.str();
-}
-
-RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
-                           const SizeEnv& sizes,
-                           const ThresholdEnv& thresholds, FaultPlan& faults,
-                           const RunPolicy& policy) {
-  return run_with_faults(dev, *c.plan, sizes, thresholds, faults, policy);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,82 +343,41 @@ bool TieredRuntime::thresholds_match(const ThresholdEnv& thresholds) const {
 
 bool TieredRuntime::run_specialized(TieredOutcome& t,
                                     const ThresholdEnv& thresholds,
-                                    FaultPlan& faults, SpecAttempt* attempt) {
+                                    FaultPlan& faults, RunOutcome* abandoned) {
   // The dispatch check already verified and precompiled this schedule.
-  const std::vector<LaunchInfo>& sched = dispatch_->schedule();
-  RunOutcome out;
-  out.thresholds = thresholds;
-  double wasted = 0;
-  double completed = 0;
-  int since_check = 0;
-  for (const LaunchInfo& li : sched) {
-    if (policy_.run.cancel && ++since_check >= kCancelCheckStride) {
-      since_check = 0;
-      if (policy_.run.cancel->expired()) {
-        // Cancelled on the specialized tier: NOT a deopt — the plan is
-        // still valid, the client just stopped waiting.
-        mark_cancelled(out, wasted + completed);
-        out.estimate = dispatch_->estimate();
-        t.run = std::move(out);
-        t.specialized = true;
-        return true;
-      }
+  LaunchState st;
+  st.out.thresholds = thresholds;
+  PersistentFault pf;
+  switch (launch_pass(dev_, policy_.run, dispatch_->schedule(), faults, st,
+                      pf)) {
+    case PassEnd::Completed:
+      st.out.ok = true;
+      st.out.estimate = dispatch_->estimate();
+      st.out.overhead_us = st.wasted;
+      st.out.time_us = st.out.estimate.time_us + st.wasted;
+      count_run(st.out);
+      break;
+    case PassEnd::Cancelled:
+      // Cancelled on the specialized tier: NOT a deopt — the plan is still
+      // valid, the client just stopped waiting.
+      st.out.estimate = dispatch_->estimate();
+      break;
+    case PassEnd::Persistent: {
+      // A persistent fault never degrades inside the specialized schedule —
+      // degradation changes guard decisions, exactly what the
+      // specialization froze.  Deoptimize: abandon the pass, let the tree
+      // tier (which owns degradation) redo the run from scratch.
+      const LaunchInfo& li = *pf.kernel;
+      st.out.events.push_back(FaultEvent{faults.launches() - 1, li.what,
+                                         pf.kind, pf.attempt, "deopt", ""});
+      deopt(t, "persistent fault (" + std::string(fault_kind_name(pf.kind)) +
+                   ") in kernel '" + li.what + "' on the specialized tier");
+      st.out.overhead_us = st.wasted;
+      *abandoned = std::move(st.out);
+      return false;
     }
-    bool persistent = false;
-    FaultKind kind = FaultKind::None;
-    int att = 0;
-    if (policy_.run.kernel_timeout_us > 0 &&
-        li.time_us > policy_.run.kernel_timeout_us) {
-      persistent = true;
-      kind = FaultKind::LaunchTimeout;
-      ++out.faults;
-      wasted += policy_.run.kernel_timeout_us;
-    }
-    while (!persistent) {
-      ++att;
-      kind = faults.next_launch();
-      if (kind == FaultKind::None) break;
-      ++out.faults;
-      wasted += attempt_cost(dev_, policy_.run, li, kind);
-      if (kind == FaultKind::LocalAllocFailed ||
-          att >= policy_.run.max_attempts) {
-        persistent = true;
-        break;
-      }
-      ++out.retries;
-      wasted += backoff_for(policy_.run, att);
-      out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind,
-                                      att, "retry", ""});
-    }
-    if (!persistent) {
-      completed += li.time_us;
-      continue;
-    }
-    // A persistent fault never degrades inside the specialized schedule —
-    // degradation changes guard decisions, exactly what the specialization
-    // froze.  Deoptimize: abandon the pass, let the tree tier (which owns
-    // degradation) redo the run from scratch.
-    wasted += completed;
-    out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind, att,
-                                    "deopt", ""});
-    deopt(t, "persistent fault (" + std::string(fault_kind_name(kind)) +
-                 ") in kernel '" + li.what + "' on the specialized tier");
-    attempt->wasted_us = wasted;
-    attempt->faults = out.faults;
-    attempt->retries = out.retries;
-    attempt->events = std::move(out.events);
-    return false;
   }
-  out.ok = true;
-  out.estimate = dispatch_->estimate();
-  out.overhead_us = wasted;
-  out.time_us = out.estimate.time_us + wasted;
-  if (trace::enabled()) {
-    trace::count("exec.fault_runs");
-    trace::count("exec.faults", out.faults);
-    trace::count("exec.retries", out.retries);
-  }
-  t.run = std::move(out);
+  t.run = std::move(st.out);
   t.specialized = true;
   return true;
 }
@@ -408,7 +391,7 @@ TieredOutcome TieredRuntime::run(const SizeEnv& sizes,
   // time, and the token outlives the call by contract.
   policy_.run.cancel = cancel;
   TieredOutcome t;
-  SpecAttempt attempt;
+  RunOutcome abandoned;  // a deoptimized specialized pass's faults and cost
   if (spec_) {
     std::string why;
     if (!thresholds_match(thresholds)) {
@@ -427,28 +410,29 @@ TieredOutcome TieredRuntime::run(const SizeEnv& sizes,
       }
     }
     if (why.empty()) {
-      if (run_specialized(t, thresholds, faults, &attempt)) {
+      if (run_specialized(t, thresholds, faults, &abandoned)) {
         ++stats_.spec_runs;
         trace::count("spesh.dispatches");
         return t;
       }
-      // Fell through: deoptimized mid-run; `attempt` carries the debris.
+      // Fell through: deoptimized mid-run; `abandoned` carries the debris.
     } else {
       deopt(t, why);
     }
   }
 
+  const PlanDatasetCache& cache = cache_for(sizes);
   RunOutcome out =
-      run_with_faults(dev_, plan_, sizes, thresholds, faults, policy_.run);
+      run_tree(dev_, plan_, cache, thresholds, faults, policy_.run);
   ++stats_.tree_runs;
   // The abandoned specialized pass is part of this run's cost and report.
-  out.faults += attempt.faults;
-  out.retries += attempt.retries;
+  out.faults += abandoned.faults;
+  out.retries += abandoned.retries;
   out.events.insert(out.events.begin(),
-                    std::make_move_iterator(attempt.events.begin()),
-                    std::make_move_iterator(attempt.events.end()));
-  out.overhead_us += attempt.wasted_us;
-  out.time_us += attempt.wasted_us;
+                    std::make_move_iterator(abandoned.events.begin()),
+                    std::make_move_iterator(abandoned.events.end()));
+  out.overhead_us += abandoned.overhead_us;
+  out.time_us += abandoned.overhead_us;
 
   if (out.cancelled) {
     // Deadline expiry says nothing about the plan: keep the specialized
@@ -460,8 +444,8 @@ TieredOutcome TieredRuntime::run(const SizeEnv& sizes,
     // standing speculation is no longer trustworthy.
     invalidate();
     profile::reset_streaks(prof_);
-  } else if (policy_.profile) {
-    profile::record_run(prof_, plan_, cache_for(sizes), thresholds);
+  } else {
+    profile::record_run(prof_, plan_, cache, thresholds);
     if (policy_.specialize && !spec_) {
       spesh::SpecializeOptions so;
       so.hot_runs = policy_.hot_runs;

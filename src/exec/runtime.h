@@ -25,6 +25,7 @@
 // it computes (the paper's semantics-preservation property), so a degraded
 // run is value-identical to the fault-free one — execute the outcome's
 // effective thresholds to check against the interpreter oracle.
+//
 // Tiered execution (TieredRuntime, at the bottom of this header) stacks a
 // speculative tier on top: successful non-degraded runs feed an execution
 // profile (src/profile/), stable guard streaks trigger specialization
@@ -36,6 +37,13 @@
 // reset (re-specializing requires a fresh stability window), and the run
 // restarts on the tree tier, which remains the sole authority for
 // correctness.  Specialization off = bit-identical to the plain runtime.
+//
+// Both tiers run one launch loop (runtime.cpp's launch_pass): the
+// pass-start and stride-16 cancellation checks, the per-kernel timeout and
+// retries with backoff.  It hands a persistent fault back to its caller:
+// the tree tier degrades and restarts, the specialized tier deoptimizes.
+// The tree tier of a TieredRuntime runs on the runtime's dataset cache;
+// run_with_faults builds a fresh one per call.
 #pragma once
 
 #include <atomic>
@@ -184,25 +192,18 @@ RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy = {});
 
-/// Same, over a compiled program's plan.
-RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
-                           const SizeEnv& sizes,
-                           const ThresholdEnv& thresholds, FaultPlan& faults,
-                           const RunPolicy& policy = {});
-
 /// One-line human-readable outcome summary.
 std::string outcome_str(const RunOutcome& o);
 
 // ---------------------------------------------------------------------------
 // Tiered execution.
 
-/// Knobs of the tiered runtime.
+/// Knobs of the tiered runtime.  Guard decisions of every successful,
+/// non-degraded tree run are recorded in the runtime's profile.
 struct TierPolicy {
-  /// Record guard decisions of successful, non-degraded tree runs.
-  bool profile = true;
-  /// Attempt specialization once a full stability window has been profiled
-  /// (implies profiling is useful; with profile=false nothing ever
-  /// stabilizes and the tree tier runs forever — the compatibility mode).
+  /// Attempt specialization once a full stability window has been
+  /// profiled; false keeps every run on the tree tier, bit-identical to
+  /// run_with_faults.
   bool specialize = true;
   /// Consecutive identical decisions every reachable guard needs before the
   /// plan may specialize — and, after a deoptimization, needs *again*
@@ -273,17 +274,12 @@ class TieredRuntime {
   void invalidate();
   void deopt(TieredOutcome& t, const std::string& why);
   bool thresholds_match(const ThresholdEnv& thresholds) const;
-  /// Runs the specialized schedule; false = persistent fault (already
-  /// deoptimized; partial-run accounting is left in *attempt for the tree
+  /// Runs the specialized schedule through the shared launch loop; false =
+  /// persistent fault (already deoptimized; the abandoned pass's faults,
+  /// retries, events and overhead_us are left in *abandoned for the tree
   /// rerun to absorb).
-  struct SpecAttempt {
-    double wasted_us = 0;
-    int faults = 0;
-    int retries = 0;
-    std::vector<FaultEvent> events;
-  };
   bool run_specialized(TieredOutcome& t, const ThresholdEnv& thresholds,
-                       FaultPlan& faults, SpecAttempt* attempt);
+                       FaultPlan& faults, RunOutcome* abandoned);
 
   DeviceProfile dev_;
   const KernelPlan& plan_;
@@ -291,7 +287,8 @@ class TieredRuntime {
   profile::ExecProfile prof_;
   std::optional<spesh::SpecializedPlan> spec_;
   TierStats stats_;
-  // Single-entry dataset cache: steady-state streams reuse one shape.
+  // Single-entry dataset cache, shared by both tiers and the profile:
+  // steady-state streams reuse one shape.
   std::optional<SizeEnv> cache_sizes_;
   std::unique_ptr<PlanDatasetCache> cache_;
   // Dispatch state for (spec_, cache_): verdict + precompiled schedule,

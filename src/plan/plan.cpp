@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/support/error.h"
+#include "src/support/trace.h"
 
 namespace incflat {
 
@@ -12,6 +13,7 @@ PlanDatasetCache::PlanDatasetCache(const KernelPlan& plan,
                                    const DeviceProfile& dev,
                                    const SizeEnv& sizes)
     : dev_(dev), sizes_(sizes), values_(plan.arena, dev, sizes) {
+  if (trace::enabled()) trace::count("plan.dataset_caches");
   kernels_.resize(plan.kernels.size());
   for (size_t k = 0; k < plan.kernels.size(); ++k) {
     const KernelDesc& d = plan.kernels[k];

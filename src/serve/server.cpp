@@ -683,7 +683,6 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   // thresholds reflect the conditions runs will actually see.
   topts.noise = fspec_.noise;
   topts.measure_seed = opts_.fault_seed;
-  topts.workers = 1;  // the scheduler owns server parallelism
   if (cancel) {
     // Spend at most the request's remaining budget: the tuner's wall-clock
     // stop returns the incumbent gracefully, so a deadline-bounded tune

@@ -5,6 +5,7 @@
 // hiding the message.
 #pragma once
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -35,15 +36,30 @@ class IoError : public EvalError {
 };
 
 namespace detail {
+/// `file` from the repository root on: __FILE__ spells whatever path the
+/// build handed the compiler (absolute in CMake builds), so everything
+/// before the last `src/` path component is dropped.  Every INCFLAT_FAIL
+/// site lives under src/; a path without that component is kept whole.
+inline const char* repo_relative(const char* file) {
+  const char* rel = file;
+  for (const char* p = file; *p != '\0'; ++p) {
+    if ((p == file || p[-1] == '/') && std::strncmp(p, "src/", 4) == 0) {
+      rel = p;
+    }
+  }
+  return rel;
+}
+
 [[noreturn]] inline void throw_compiler_error(const char* file, int line,
                                               const std::string& msg) {
   std::ostringstream os;
-  os << file << ":" << line << ": " << msg;
+  os << repo_relative(file) << ":" << line << ": " << msg;
   throw CompilerError(os.str());
 }
 }  // namespace detail
 
-/// Abort the current pass with a CompilerError carrying source location.
+/// Abort the current pass with a CompilerError carrying its source location
+/// relative to the repository root (`src/pass/pass.cpp:135: ...`).
 #define INCFLAT_FAIL(msg) \
   ::incflat::detail::throw_compiler_error(__FILE__, __LINE__, (msg))
 

@@ -267,7 +267,7 @@ TEST(FaultedRun, TransientFaultsRetryWithExponentialBackoff) {
   FaultPlan faults;
   faults.script(0, FaultKind::LaunchFailed);
   faults.script(1, FaultKind::LaunchFailed);
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults);
+  const RunOutcome out = run_with_faults(dev, *c.plan, sizes, {}, faults);
   ASSERT_TRUE(out.ok);
   EXPECT_EQ(out.faults, 2);
   EXPECT_EQ(out.retries, 2);
@@ -291,7 +291,7 @@ TEST(FaultedRun, DeviceLostCostsAResetRoundTrip) {
 
   FaultPlan faults;
   faults.script(0, FaultKind::DeviceLost);
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults);
+  const RunOutcome out = run_with_faults(dev, *c.plan, sizes, {}, faults);
   ASSERT_TRUE(out.ok);
   EXPECT_EQ(out.faults, 1);
   EXPECT_EQ(out.retries, 1);
@@ -310,7 +310,8 @@ TEST(FaultedRun, BackoffIsCapped) {
   RunPolicy policy = parse_run_policy("retries=8,backoff=50,backoff-cap=80");
   FaultPlan faults;
   for (int i = 0; i < 5; ++i) faults.script(i, FaultKind::LaunchFailed);
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults, policy);
+  const RunOutcome out =
+      run_with_faults(dev, *c.plan, sizes, {}, faults, policy);
   ASSERT_TRUE(out.ok);
   EXPECT_EQ(out.retries, 5);
   EXPECT_DOUBLE_EQ(out.overhead_us, 5 * 5.0 + 50 + 80 + 80 + 80 + 80);
@@ -341,7 +342,7 @@ TEST_P(DegradationSuite, DegradedRunsAreValueIdenticalToTheSource) {
     FaultPlan scripted;
     scripted.script(0, FaultKind::LocalAllocFailed);
     const RunOutcome one =
-        run_with_faults(dev, c, b.test_sizes, all_on, scripted);
+        run_with_faults(dev, *c.plan, b.test_sizes, all_on, scripted);
     if (one.ok && one.degradations > 0) {
       const Values got = execute(dev, c, b.test_sizes, one.thresholds, inputs);
       ASSERT_EQ(got.size(), want.size()) << b.name << " " << dev.name;
@@ -357,7 +358,7 @@ TEST_P(DegradationSuite, DegradedRunsAreValueIdenticalToTheSource) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       FaultPlan heavy(parse_fault_spec("local-alloc=0.5"), seed);
       const RunOutcome out =
-          run_with_faults(dev, c, b.test_sizes, all_on, heavy);
+          run_with_faults(dev, *c.plan, b.test_sizes, all_on, heavy);
       if (!out.ok) {
         ASSERT_TRUE(out.error.has_value());
         EXPECT_EQ(out.error->check, "fault-unrecoverable");
@@ -386,7 +387,7 @@ TEST(FaultedRun, DegradationForcesTheInnermostTakenGuardOff) {
 
   FaultPlan faults;
   faults.script(0, FaultKind::LocalAllocFailed);
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults);
+  const RunOutcome out = run_with_faults(dev, *c.plan, sizes, {}, faults);
   ASSERT_TRUE(out.ok);
   ASSERT_EQ(out.degradations, 1);
   ASSERT_EQ(out.degraded.size(), 1u);
@@ -410,7 +411,7 @@ TEST(FaultedRun, AllVersionsFailingReturnsAStructuredDiagnostic) {
   // Every launch alloc-fails: the chain degrades to the fully flattened
   // leaf, which then also faults persistently — no sibling remains.
   FaultPlan faults(parse_fault_spec("local-alloc=1"), 0);
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults);
+  const RunOutcome out = run_with_faults(dev, *c.plan, sizes, {}, faults);
   EXPECT_FALSE(out.ok);
   ASSERT_TRUE(out.error.has_value());
   EXPECT_EQ(out.error->severity, Severity::Error);
@@ -430,7 +431,8 @@ TEST(FaultedRun, DegradationBudgetIsEnforced) {
 
   FaultPlan faults(parse_fault_spec("local-alloc=1"), 0);
   const RunPolicy policy = parse_run_policy("degradations=1");
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults, policy);
+  const RunOutcome out =
+      run_with_faults(dev, *c.plan, sizes, {}, faults, policy);
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.degradations, 1);
   ASSERT_TRUE(out.error.has_value());
@@ -448,7 +450,8 @@ TEST(FaultedRun, PolicyTimeoutDegradesKernelsThatCanNeverFinish) {
   // structured failure (never an exception).
   FaultPlan faults;  // no injected faults: the timeout alone triggers
   const RunPolicy policy = parse_run_policy("timeout=1");
-  const RunOutcome out = run_with_faults(dev, c, sizes, {}, faults, policy);
+  const RunOutcome out =
+      run_with_faults(dev, *c.plan, sizes, {}, faults, policy);
   EXPECT_FALSE(out.ok);
   ASSERT_TRUE(out.error.has_value());
   EXPECT_EQ(out.error->check, "fault-unrecoverable");
@@ -461,7 +464,7 @@ TEST(FaultedRun, DisabledFaultPlanIsBitIdenticalToSimulate) {
   const DeviceProfile dev = device_k40();
   for (const auto& ds : b.datasets) {
     FaultPlan none;
-    const RunOutcome out = run_with_faults(dev, c, ds.sizes, {}, none);
+    const RunOutcome out = run_with_faults(dev, *c.plan, ds.sizes, {}, none);
     const RunEstimate est = simulate(dev, c, ds.sizes, {});
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.faults, 0);

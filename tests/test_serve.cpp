@@ -269,6 +269,18 @@ TEST(Cache, ShardedConcurrentChurnKeepsBudget) {
 // Job scheduler
 // ---------------------------------------------------------------------------
 
+TEST(Scheduler, PickWidthClampsZeroHardwareToOne) {
+  // hardware_concurrency() == 0 means "not computable"; the derived width
+  // must still be a valid worker count, never 0 or negative.
+  EXPECT_EQ(JobScheduler::pick_width(0, 0u), 1);
+  EXPECT_EQ(JobScheduler::pick_width(-3, 0u), 1);
+  EXPECT_EQ(JobScheduler::pick_width(0, 1u), 1);
+  EXPECT_EQ(JobScheduler::pick_width(0, 4u), 4);
+  EXPECT_EQ(JobScheduler::pick_width(0, 64u), 8);  // capped at 8
+  EXPECT_EQ(JobScheduler::pick_width(0, ~0u), 8);  // absurd platform value
+  EXPECT_EQ(JobScheduler::pick_width(6, 0u), 6);   // explicit request wins
+}
+
 TEST(Scheduler, DrainsInPriorityOrder) {
   JobScheduler sched(1, /*promote_after_ms=*/0);
   std::mutex mu;
@@ -763,7 +775,6 @@ TEST(Server, ServedTuneEqualsOfflineAutotune) {
   TunerOptions topts;
   topts.max_trials = 32;
   topts.measure_seed = opts.fault_seed;
-  topts.workers = 1;
   const TuningReport offline = autotune(device_k40(), c.flat.program,
                                         c.flat.thresholds, train, topts);
 

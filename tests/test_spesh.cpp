@@ -24,6 +24,7 @@
 #include "src/plan/specialize.h"
 #include "src/profile/profile.h"
 #include "src/support/rng.h"
+#include "src/support/trace.h"
 
 namespace incflat {
 namespace {
@@ -420,13 +421,94 @@ TEST(TieredRuntime, DegradationInvalidatesSpecializationAndResetsStreaks) {
   }
 }
 
+TEST(TieredRuntime, ExpiredTokenCancelsEitherTierBeforeAnyLaunch) {
+  // Both tiers run one launch loop, whose pass start checks the token: a
+  // request whose deadline already passed is answered "cancelled" without
+  // consulting the FaultPlan, and says nothing about the speculation.
+  const Benchmark b = bench_heston();
+  const Compiled c = compile(b.program, FlattenMode::Incremental);
+  const DeviceProfile dev = device_k40();
+  const SizeEnv sizes = b.datasets.at(0).sizes;
+  const CancelToken expired(0.0);
+  ASSERT_TRUE(expired.expired());
+  const auto expect_cancelled = [](const TieredOutcome& t,
+                                   const FaultPlan& faults,
+                                   const std::string& tier) {
+    EXPECT_TRUE(t.run.cancelled) << tier;
+    EXPECT_FALSE(t.run.ok) << tier;
+    ASSERT_TRUE(t.run.error.has_value()) << tier;
+    EXPECT_EQ(t.run.error->check, "deadline-exceeded") << tier;
+    EXPECT_EQ(faults.launches(), 0) << tier << ": a launch was consulted";
+    EXPECT_FALSE(t.deopted) << tier;
+  };
+
+  TierPolicy tp;
+  tp.hot_runs = 3;
+  TieredRuntime rt(dev, *c.plan, tp);
+  {
+    FaultPlan faults(parse_fault_spec("all=0.5"), 7);
+    const TieredOutcome t = rt.run(sizes, {}, faults, &expired);
+    expect_cancelled(t, faults, "tree tier");
+    EXPECT_FALSE(t.specialized);
+    EXPECT_EQ(rt.prof().runs, 0) << "a cancelled run fed the profile";
+  }
+
+  for (int i = 0; i < 3; ++i) {
+    FaultPlan faults;
+    ASSERT_TRUE(rt.run(sizes, {}, faults).run.ok);
+  }
+  ASSERT_NE(rt.specialized(), nullptr);
+  const int64_t deopts = rt.stats().deopts;
+  std::vector<int64_t> streaks;
+  for (const auto& g : rt.prof().guards) streaks.push_back(g.streak);
+
+  {
+    FaultPlan faults(parse_fault_spec("all=0.5"), 7);
+    const TieredOutcome t = rt.run(sizes, {}, faults, &expired);
+    expect_cancelled(t, faults, "specialized tier");
+  }
+  EXPECT_EQ(rt.stats().deopts, deopts);
+  ASSERT_NE(rt.specialized(), nullptr) << "cancel invalidated the plan";
+  std::vector<int64_t> after;
+  for (const auto& g : rt.prof().guards) after.push_back(g.streak);
+  EXPECT_EQ(after, streaks) << "cancel touched the streaks";
+
+  FaultPlan faults;
+  const TieredOutcome next = rt.run(sizes, {}, faults);
+  EXPECT_TRUE(next.run.ok);
+  EXPECT_TRUE(next.specialized);
+}
+
+TEST(TieredRuntime, TreeTierRunsOnTheRuntimesDatasetCache) {
+  // The tree tier, the profile and the specialized dispatch share one
+  // dataset cache per shape: a steady stream builds it once.
+  const Benchmark b = bench_heston();
+  const Compiled c = compile(b.program, FlattenMode::Incremental);
+  TierPolicy tp;
+  tp.specialize = false;
+  TieredRuntime rt(device_k40(), *c.plan, tp);
+  trace::reset();
+  trace::set_enabled(true);
+  for (int i = 0; i < 5; ++i) {
+    FaultPlan faults;
+    ASSERT_TRUE(rt.run(b.datasets.at(0).sizes, {}, faults).run.ok);
+  }
+  FaultPlan faults;
+  ASSERT_TRUE(rt.run(b.datasets.at(1).sizes, {}, faults).run.ok);
+  const std::map<std::string, int64_t> counters = trace::counters();
+  trace::set_enabled(false);
+  trace::reset();
+  EXPECT_EQ(rt.stats().tree_runs, 6);
+  ASSERT_EQ(counters.count("plan.dataset_caches"), 1u);
+  EXPECT_EQ(counters.at("plan.dataset_caches"), 2) << "one per shape";
+}
+
 // ---------------------------------------------------------------------------
 // Golden compatibility: tiers off == the plain fault runtime
 // ---------------------------------------------------------------------------
 
 TEST(TieredRuntime, TiersOffIsBitIdenticalToThePlainRuntime) {
   TierPolicy off;
-  off.profile = false;
   off.specialize = false;
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
@@ -439,7 +521,7 @@ TEST(TieredRuntime, TiersOffIsBitIdenticalToThePlainRuntime) {
         FaultPlan plain_faults(spec, seed);
         FaultPlan tiered_faults(spec, seed);
         const RunOutcome plain = run_with_faults(
-            dev, c, b.test_sizes, {}, plain_faults, off.run);
+            dev, *c.plan, b.test_sizes, {}, plain_faults, off.run);
         TieredRuntime rt(dev, *c.plan, off);
         const TieredOutcome t = rt.run(b.test_sizes, {}, tiered_faults);
         EXPECT_FALSE(t.specialized) << ctx;
@@ -455,7 +537,10 @@ TEST(TieredRuntime, TiersOffIsBitIdenticalToThePlainRuntime) {
         if (plain.ok) {
           expect_same_estimate(t.run.estimate, plain.estimate, ctx);
         }
-        EXPECT_EQ(rt.prof().runs, 0) << ctx << ": profiling not off";
+        // The profile records exactly the runs that ran the nominal
+        // versions to completion.
+        EXPECT_EQ(rt.prof().runs, plain.ok && plain.degradations == 0 ? 1 : 0)
+            << ctx;
       }
     }
   }

@@ -147,7 +147,8 @@ int usage() {
       "  --run-policy SPEC           fault handling: retries, backoff,\n"
       "                              backoff-cap, timeout, degradations\n"
       "  --tune-journal FILE         append every tuner evaluation to a\n"
-      "                              crash-safe journal\n"
+      "                              crash-safe journal (not with\n"
+      "                              --exhaustive, which never journals)\n"
       "  --resume                    resume --tune from --tune-journal to a\n"
       "                              bit-identical report\n"
       "  --profile[=FILE]            record per-guard execution profiles\n"
@@ -303,6 +304,13 @@ std::optional<Options> parse(int argc, char** argv) {
       }
     }
   }
+  if (o.exhaustive && (!o.tune_journal.empty() || o.resume)) {
+    // The exhaustive oracle measures exactly and never journals, so a
+    // journal would be silently dropped.
+    cli_error("usage",
+              "--exhaustive does not journal; drop --tune-journal/--resume");
+    return std::nullopt;
+  }
   return o;
 }
 
@@ -448,7 +456,7 @@ int run(const Options& o) {
     // Tune on the compile's own plan, so a run builds it once.
     const TuningReport rep =
         o.exhaustive ? exhaustive_tune(dev, *c.plan, fr.thresholds, train,
-                                       topts.default_threshold, topts)
+                                       topts.default_threshold)
                      : autotune(dev, *c.plan, fr.thresholds, train, topts);
     thresholds = rep.best;
     std::cout << "tuned on " << train.size() << " datasets: "
@@ -487,7 +495,6 @@ int run(const Options& o) {
       // Tiered execution: profile the guard tree across --repeat runs,
       // specialize once stable, deoptimize on drift.
       TierPolicy tp;
-      tp.profile = true;
       tp.specialize = o.specialize;
       tp.hot_runs = o.hot_runs;
       tp.run = policy;
@@ -559,7 +566,7 @@ int run(const Options& o) {
       // and exits 1 instead of throwing.
       FaultPlan fplan(fspec, o.fault_seed);
       const RunOutcome out =
-          run_with_faults(dev, c, ds->sizes, thresholds, fplan, policy);
+          run_with_faults(dev, *c.plan, ds->sizes, thresholds, fplan, policy);
       if (o.json) {
         Json j = Json::object();
         j.set("benchmark", b.name)
@@ -646,6 +653,20 @@ int run(const Options& o) {
   return 0;
 }
 
+/// One error-severity `cli` diagnostic on stderr, JSON under --json.
+void report_cli_error(const Options& o, const std::string& check,
+                      const std::string& message) {
+  Diagnostic d;
+  d.check = check;
+  d.context = "cli";
+  d.message = message;
+  if (o.json) {
+    std::cerr << diagnostics_json({d}).str() << "\n";
+  } else {
+    std::cerr << d.str() << "\n";
+  }
+}
+
 }  // namespace
 }  // namespace incflat
 
@@ -665,18 +686,15 @@ int main(int argc, char** argv) {
                 << incflat::diagnostics_str(e.diagnostics());
     }
     return 1;
+  } catch (const incflat::CompilerError& e) {
+    // A rejected pipeline (unknown pass or mode, a pass after plan-build)
+    // or a failed internal invariant: one structured diagnostic.
+    report_cli_error(*opts, "compile", e.what());
+    return 1;
   } catch (const incflat::IoError& e) {
     // Missing, unreadable or malformed input (tuning files, journals,
     // fault/policy specs): structured diagnostic, distinct exit code.
-    incflat::Diagnostic d;
-    d.check = "input";
-    d.context = "cli";
-    d.message = e.what();
-    if (opts->json) {
-      std::cerr << incflat::diagnostics_json({d}).str() << "\n";
-    } else {
-      std::cerr << d.str() << "\n";
-    }
+    report_cli_error(*opts, "input", e.what());
     return 3;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

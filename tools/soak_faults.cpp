@@ -101,7 +101,7 @@ void soak_one(Tally& t, const Benchmark& b, const Compiled& c,
   FaultPlan faults(spec, seed);
   RunOutcome out;
   try {
-    out = run_with_faults(dev, c, b.test_sizes, thresholds, faults);
+    out = run_with_faults(dev, *c.plan, b.test_sizes, thresholds, faults);
   } catch (const std::exception& e) {
     check(t, false,
           b.name + "/" + dev.name + " seed " + std::to_string(seed) +
